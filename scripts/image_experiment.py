@@ -32,7 +32,6 @@ def main(argv=None) -> int:
     ap.add_argument("--snr-values", default="", help="comma list; empty = noiseless only")
     ap.add_argument("--k-max", type=int, default=5)
     ap.add_argument("--knn-k", type=int, default=10)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="results/images")
     args = ap.parse_args(argv)
 
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
         match = len(true_set & img_set) / len(true_set)
         print(f"snr={label}: edge match {match:.3f} over {len(true_set)} edges", flush=True)
 
-        _run_pipeline(frames, g, cfg, sub, args.threads)
+        _run_pipeline(frames, g, cfg, sub)
         metrics = json.loads((sub / "metrics.json").read_text())
         for name, stats in metrics["methods"].items():
             print(

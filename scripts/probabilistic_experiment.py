@@ -28,7 +28,6 @@ def main(argv=None) -> int:
     ap.add_argument("--p-values", default="1.0,0.5,0.1")
     ap.add_argument("--k-max", type=int, default=10)
     ap.add_argument("--knn-k", type=int, default=50)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="results/prob")
     args = ap.parse_args(argv)
 
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
         sub = out / f"p{p:g}"
         sub.mkdir(exist_ok=True)
         g.to_csv(sub / "graph.csv")
-        _run_pipeline(frames, g, cfg, sub, args.threads)
+        _run_pipeline(frames, g, cfg, sub)
         metrics = json.loads((sub / "metrics.json").read_text())
         for name, stats in metrics["methods"].items():
             print(

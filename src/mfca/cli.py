@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -184,17 +183,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_pipeline(frames: FrameSet, graph, cfg: ExperimentConfig, out: Path, threads: int):
+def _run_pipeline(frames: FrameSet, graph, cfg: ExperimentConfig, out: Path):
     tag = f"# config={cfg.hash()}\n"
-    ks = list(range(1, cfg.k_max + 1))
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        blocks = list(pool.map(lambda k: pipeline.embed(graph, k), ks))
-    for k, block in zip(ks, blocks):
-        spec_vals = block.eigenvalues
+    blocks = [pipeline.embed(graph, k) for k in range(1, cfg.k_max + 1)]
+    for block in blocks:
+        k = block.k
         with open(out / f"spectrum_k{k}.csv", "w") as fh:
             fh.write("rank,eigenvalue\n")
             fh.write(tag)
-            for r, v in enumerate(spec_vals):
+            for r, v in enumerate(block.eigenvalues):
                 fh.write(f"{r},{_fmt(v)}\n")
         pts = pipeline.scatter_data(
             block, frames, min(10000, block.n * (block.n - 1) // 2), cfg.seed + 2
@@ -205,29 +202,29 @@ def _run_pipeline(frames: FrameSet, graph, cfg: ExperimentConfig, out: Path, thr
             for a, t in pts:
                 fh.write(f"{_fmt(a)},{_fmt(t)}\n")
 
-    mats = {k: pipeline.affinity_matrix(b) for k, b in zip(ks, blocks)}
-    iso = blocks[0].isolated
-    methods = {}
-    for k in (1, 5, 10):
-        if k in mats:
-            methods[f"A^({k})"] = mats[k]
-    methods["A^All"] = np.prod(np.array([mats[k] for k in ks]), axis=0)
-
-    metrics = {}
+    neighbors, values = pipeline.knn_streamed(blocks, cfg.knn_k)
+    metrics = {
+        name: pipeline.evaluate_neighbors(frames, nb) for name, nb in neighbors.items()
+    }
+    nb = neighbors["A^All"]
+    n, K = nb.shape
+    ii = np.repeat(np.arange(n), K)
+    jj = nb.ravel()
     dirs = frames.viewing_directions()
-    for name, a in methods.items():
-        nb = pipeline.knn(a, cfg.knn_k, iso)
-        metrics[name] = pipeline.evaluate_neighbors(frames, nb)
-        if name == "A^All":
-            with open(out / "neighbors.csv", "w") as fh:
-                fh.write("i,rank,j,affinity,true_angle_deg\n")
-                fh.write(tag)
-                for i in range(nb.shape[0]):
-                    for r, j in enumerate(nb[i]):
-                        ang = np.degrees(
-                            np.arccos(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))
-                        )
-                        fh.write(f"{i},{r},{j},{_fmt(a[i, j])},{_fmt(ang)}\n")
+    # a stack of 1x3 @ 3x1 products rounds as the per-pair dirs[i] @ dirs[j]
+    # does; einsum does not
+    cos = (dirs[ii][:, None, :] @ dirs[jj][:, :, None]).ravel()
+    ang = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    ranks = np.tile(np.arange(K), n)
+    with open(out / "neighbors.csv", "w") as fh:
+        fh.write("i,rank,j,affinity,true_angle_deg\n")
+        fh.write(tag)
+        fh.writelines(
+            f"{i},{r},{j},{_fmt(a)},{_fmt(g)}\n"
+            for i, r, j, a, g in zip(
+                ii.tolist(), ranks.tolist(), jj.tolist(), values.ravel().tolist(), ang.tolist()
+            )
+        )
     with open(out / "metrics.json", "w") as fh:
         json.dump({"config": cfg.hash(), "methods": metrics}, fh, indent=1)
 
@@ -237,7 +234,7 @@ def cmd_run(args) -> int:
     out = _out_dir(args, cfg)
     frames = FrameSet.from_csv(args.frames)
     graph = graphs.ObservationGraph.from_csv(args.graph, n_vertices=len(frames))
-    _run_pipeline(frames, graph, cfg, out, args.threads)
+    _run_pipeline(frames, graph, cfg, out)
     return 0
 
 
@@ -275,7 +272,7 @@ def cmd_images(args) -> int:
         g.to_csv(out / f"image_graph_snr{label}.csv")
         sub = out / f"snr{label}"
         sub.mkdir(exist_ok=True)
-        _run_pipeline(frames, g, cfg, sub, args.threads)
+        _run_pipeline(frames, g, cfg, sub)
     return 0
 
 
@@ -302,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", help="output directory (fallback: $MFCA_OUT)")
-        p.add_argument("--threads", type=int, default=4)
 
     p = sub.add_parser("theory", help="emit eigenvalue tables and spectral gaps")
     common(p)

@@ -6,6 +6,8 @@ For each frequency k the graph's alignment angles are encoded as e^{i k
 theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix give the
 per-vertex embedding, whose normalized inner products define the affinity
 A^(k).  Affinities multiply across frequencies into the aggregate A^All.
+Nearest neighbors come from one pass over blocks of rows, so memory stays
+O(ROW_BLOCK * n) and no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .eigensolver import HermitianMatrix, full_spectrum, top_eigenpairs
 from .graphs import ObservationGraph, degrees
 from .so3 import FrameSet
 
-FULL_MATRIX_CAP = 8192
+ROW_BLOCK = 256  # rows per block of the streamed affinity pass
+REPORTED_KS = (1, 5, 10)  # frequencies whose own K-NN knn_streamed reports
 GROUP_REL_TOL = 0.02
 
 
@@ -93,51 +96,25 @@ def _normalized_rows(block: FrequencyBlock) -> np.ndarray:
     return rows
 
 
-def affinity_k(block: FrequencyBlock, i: int, j: int) -> float:
-    """|<Psi(i), Psi(j)>| / (|Psi(i)| |Psi(j)|), in [0, 1].
-
-    Isolated (zero-norm) rows give affinity 0; the block's isolated mask
-    flags them.
-    """
-    if i == j:
-        return 0.0 if block.isolated[i] else 1.0
-    ni = np.linalg.norm(block.embedding[i])
-    nj = np.linalg.norm(block.embedding[j])
-    if ni == 0.0 or nj == 0.0:
-        return 0.0
-    val = abs(np.vdot(block.embedding[i], block.embedding[j])) / (ni * nj)
-    return float(min(val, 1.0))
-
-
-def affinity_matrix(block: FrequencyBlock) -> np.ndarray:
-    """Full n x n affinity matrix (n capped; see knn for the blockwise path)."""
-    if block.n > FULL_MATRIX_CAP:
-        raise ValueError(f"full affinity matrix limited to n <= {FULL_MATRIX_CAP}")
-    rows = _normalized_rows(block)
-    a = np.abs(rows @ rows.conj().T)
+def _affinity_rows(rows: np.ndarray, isolated: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of A^(k) from the unit-normalized embedding rows:
+    |<Psi(i), Psi(j)>| clipped to [0, 1], with diagonal 1 (0 at isolated
+    vertices, whose rows are zero)."""
+    a = np.abs(rows[lo:hi] @ rows.conj().T)
     np.clip(a, 0.0, 1.0, out=a)
-    np.fill_diagonal(a, np.where(block.isolated, 0.0, 1.0))
+    r = np.arange(lo, hi)
+    a[r - lo, r] = np.where(isolated[lo:hi], 0.0, 1.0)
     return a
 
 
-def affinity_all(blocks: list, i: int, j: int) -> float:
-    """Product of per-frequency affinities across all supplied blocks."""
-    out = 1.0
-    for b in blocks:
-        out *= affinity_k(b, i, j)
-    return out
-
-
-def affinity_all_matrix(blocks: list) -> np.ndarray:
-    out = affinity_matrix(blocks[0])
-    for b in blocks[1:]:
-        out *= affinity_matrix(b)
-    return out
+def affinity_matrix(block: FrequencyBlock) -> np.ndarray:
+    """Full n x n affinity matrix A^(k); knn_streamed avoids building it."""
+    return _affinity_rows(_normalized_rows(block), block.isolated, 0, block.n)
 
 
 def g_affinity(block: FrequencyBlock, i: int, j: int) -> float:
     """The root-transformed alternative 2 A^(k)^{1/k} - 1 in [-1, 1]."""
-    a = affinity_k(block, i, j)
+    a = _affinity_rows(_normalized_rows(block), block.isolated, i, i + 1)[0, j]
     if a == 0.0:
         return -1.0
     return 2.0 * a ** (1.0 / block.k) - 1.0
@@ -148,25 +125,97 @@ def g_all(blocks: list, i: int, j: int) -> float:
     return float(np.mean([g_affinity(b, i, j) for b in blocks]))
 
 
+def _row_blocks(n: int):
+    """(lo, hi) bounds of consecutive blocks of about ROW_BLOCK rows.
+
+    A one-row block is folded into the block before it: numpy computes a
+    one-row product with BLAS gemv, which rounds differently from the gemm
+    of the whole-range affinity_matrix.
+    """
+    lo = 0
+    while lo < n:
+        hi = min(lo + ROW_BLOCK, n)
+        if n - hi == 1:
+            hi = n
+        yield lo, hi
+        lo = hi
+
+
+def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
+    """Per-row indices of the K largest entries of a, the rows lo.. of an
+    n-column affinity, leaving out the diagonal and isolated columns.
+
+    np.partition finds each row's K-th value; only the candidates at or above
+    it are sorted, by (-affinity, index), so ties go to the lower index, at
+    the K boundary too.  A row with fewer than K candidates is filled from
+    the excluded entries, again in index order.
+    """
+    keys = np.where(isolated, -np.inf, a)
+    r = np.arange(a.shape[0])
+    keys[r, r + lo] = -np.inf
+    n = keys.shape[1]
+    kth = np.partition(keys, n - K, axis=1)[:, n - K]
+    cand_row, cand_col = np.nonzero(keys >= kth[:, None])
+    # nonzero lists each row's candidates by column; a stable sort on
+    # (row, -affinity) keeps that order among equal affinities
+    order = np.lexsort((-keys[cand_row, cand_col], cand_row))
+    counts = np.bincount(cand_row, minlength=keys.shape[0])
+    first = np.cumsum(counts) - counts
+    return cand_col[order[first[:, None] + np.arange(K)]]
+
+
 def knn(affinity: np.ndarray, K: int, isolated: np.ndarray | None = None) -> np.ndarray:
     """Per-vertex indices of the K largest-affinity other vertices.
 
     Ties break toward the lower index; isolated vertices are excluded from
-    candidacy and receive neighbor lists drawn from the remaining pool.
+    candidacy and receive neighbor lists drawn from the remaining pool.  A
+    NaN affinity raises ValueError.
     """
-    a = np.array(affinity, dtype=float)
+    a = np.asarray(affinity, dtype=float)
     n = a.shape[0]
     if not 1 <= K < n:
         raise ValueError("K must satisfy 1 <= K < n")
-    np.fill_diagonal(a, -np.inf)
-    if isolated is not None:
-        a[:, np.asarray(isolated, dtype=bool)] = -np.inf
+    if np.isnan(a).any():
+        raise ValueError("affinity contains NaN")
+    iso = np.zeros(n, dtype=bool) if isolated is None else np.asarray(isolated, dtype=bool)
     out = np.empty((n, K), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, -a[i]))
-        out[i] = order[:K]
+    for lo, hi in _row_blocks(n):
+        out[lo:hi] = _top_k(a[lo:hi], lo, K, iso)
     return out
+
+
+def knn_streamed(blocks: list, K: int) -> tuple:
+    """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
+    in one pass over blocks of ROW_BLOCK rows, so no n x n matrix is built.
+
+    Each row block of A^All is multiplied up in the order of `blocks`, which
+    reproduces np.prod over a stacked array bit for bit.  Returns a dict of
+    (n, K) neighbor lists keyed "A^(k)" then "A^All", and A^All's values at
+    its neighbors.  Isolated vertices are excluded as in knn.
+    """
+    n = blocks[0].n
+    if not 1 <= K < n:
+        raise ValueError("K must satisfy 1 <= K < n")
+    iso = blocks[0].isolated
+    rows = [_normalized_rows(b) for b in blocks]
+    ks = {b.k for b in blocks}
+    names = {k: f"A^({k})" for k in REPORTED_KS if k in ks}
+    neighbors = {name: np.empty((n, K), dtype=np.int64) for name in names.values()}
+    neighbors["A^All"] = nb_all = np.empty((n, K), dtype=np.int64)
+    values = np.empty((n, K))
+    for lo, hi in _row_blocks(n):
+        prod = None
+        for b, unit in zip(blocks, rows):
+            a = _affinity_rows(unit, b.isolated, lo, hi)
+            if b.k in names:
+                neighbors[names[b.k]][lo:hi] = _top_k(a, lo, K, iso)
+            if prod is None:
+                prod = a
+            else:
+                prod *= a
+        nb_all[lo:hi] = _top_k(prod, lo, K, iso)
+        values[lo:hi] = np.take_along_axis(prod, nb_all[lo:hi], axis=1)
+    return neighbors, values
 
 
 def evaluate_neighbors(frames: FrameSet, neighbors: np.ndarray) -> dict:

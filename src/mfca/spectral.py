@@ -145,12 +145,15 @@ def spectral_gap(k: int, h: float) -> float:
     """G^(k)(h) = (2^{k+2} - (2-h)^{k+1}((k+1)h + 2)) / (2^{k+1}(k+2)).
 
     Equals lambda_top - lambda_second everywhere on (0, 2]; behaves like
-    (1+k) h^2 / 4 as h -> 0.
+    (1+k) h^2 / 4 as h -> 0.  Evaluated in exact rational arithmetic: the
+    float form cancels catastrophically at small h.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return (2.0 ** (k + 2) - (2.0 - h) ** (k + 1) * ((k + 1) * h + 2.0)) / (
-        2.0 ** (k + 1) * (k + 2)
+    x = Fraction(h)
+    return float(
+        (2 ** (k + 2) - (2 - x) ** (k + 1) * ((k + 1) * x + 2))
+        / (2 ** (k + 1) * (k + 2))
     )
 
 

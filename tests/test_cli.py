@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mfca import cli, graphs, so3, spectral, wigner
+from mfca import cli, graphs, pipeline, so3, spectral, wigner
 
 
 def write_config(tmp_path, **kwargs):
@@ -181,6 +181,35 @@ class TestRun:
         )
         rows = np.loadtxt(out / "neighbors.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape == (200 * 5, 5)
+
+    def test_neighbors_csv_matches_dense_reference(self, sim_dir, tmp_path):
+        # reference: dense A^All, knn, and the per-pair row writer
+        tmp, cfg, sim = sim_dir
+        out = tmp_path / "run4"
+        graph_path = sim / "graph_p1.csv"
+        cli.main(
+            [
+                "run",
+                "--config", cfg,
+                "--frames", str(sim / "frames.csv"),
+                "--graph", str(graph_path),
+                "--out", str(out),
+            ]
+        )
+        frames = so3.FrameSet.from_csv(sim / "frames.csv")
+        graph = graphs.ObservationGraph.from_csv(graph_path, n_vertices=200)
+        blocks = [pipeline.embed(graph, k) for k in range(1, 11)]
+        prod = np.prod(np.array([pipeline.affinity_matrix(b) for b in blocks]), axis=0)
+        nb = pipeline.knn(prod, 5, blocks[0].isolated)
+        dirs = frames.viewing_directions()
+        expected = []
+        for i in range(200):
+            for r, j in enumerate(nb[i]):
+                ang = np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1.0, 1.0)))
+                expected.append(f"{i},{r},{j},{prod[i, j]:.17g},{ang:.17g}")
+        lines = (out / "neighbors.csv").read_text().splitlines()
+        assert lines[0] == "i,rank,j,affinity,true_angle_deg"
+        assert lines[2:] == expected
 
     def test_eval_round_trip(self, sim_dir, tmp_path):
         tmp, cfg, sim = sim_dir

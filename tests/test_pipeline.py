@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,20 +116,6 @@ class TestAffinity:
         assert np.allclose(a, a.T, atol=1e-12)
         assert np.allclose(np.diag(a), 1.0)
 
-    def test_scalar_matches_matrix(self, blocks):
-        a = pipeline.affinity_matrix(blocks[1])
-        for i, j in ((0, 5), (3, 17), (100, 250)):
-            assert np.isclose(pipeline.affinity_k(blocks[1], i, j), a[i, j], atol=1e-12)
-
-    def test_all_is_product(self, blocks):
-        prod = pipeline.affinity_matrix(blocks[0]) * pipeline.affinity_matrix(
-            blocks[1]
-        ) * pipeline.affinity_matrix(blocks[2])
-        assert np.allclose(pipeline.affinity_all_matrix(blocks), prod, atol=1e-12)
-        assert np.isclose(
-            pipeline.affinity_all(blocks, 2, 9), prod[2, 9], atol=1e-12
-        )
-
     def test_g_affinity_range(self, blocks):
         vals = [pipeline.g_affinity(blocks[2], 0, j) for j in range(1, 50)]
         assert all(-1.0 <= v <= 1.0 for v in vals)
@@ -202,6 +190,86 @@ class TestKnn:
         a = pipeline.affinity_matrix(blocks[0])
         with pytest.raises(ValueError):
             pipeline.knn(a, 0)
+
+    def test_rejects_nan(self):
+        a = np.full((4, 4), 0.5)
+        a[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            pipeline.knn(a, 2)
+
+
+def _random_blocks(n, ks, seed, isolated=(), constant=False):
+    """FrequencyBlocks from seeded random complex embeddings (no eigensolve);
+    `constant` gives every vertex the same row, so all affinities tie."""
+    rng = np.random.default_rng(seed)
+    iso = np.zeros(n, dtype=bool)
+    iso[list(isolated)] = True
+    out = []
+    for k in ks:
+        shape = (1 if constant else n, 2 * k + 1)
+        emb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        emb = np.broadcast_to(emb, (n, 2 * k + 1)).copy()
+        emb[iso] = 0.0
+        out.append(
+            pipeline.FrequencyBlock(
+                k=k, eigenvalues=np.zeros(2 * k + 2), embedding=emb, isolated=iso
+            )
+        )
+    return out
+
+
+def _lexsort_knn(a, K, isolated):
+    """Reference K-NN: a full per-row sort by (-affinity, index)."""
+    a = np.array(a, dtype=float)
+    np.fill_diagonal(a, -np.inf)
+    a[:, isolated] = -np.inf
+    idx = np.arange(a.shape[0])
+    return np.array([np.lexsort((idx, -row))[:K] for row in a])
+
+
+class TestKnnStreamed:
+    @pytest.mark.parametrize(
+        "n, isolated, constant, K",
+        [
+            (61, (), False, 5),  # 61 rows: the 8-row blocks do not divide n
+            (17, (), False, 5),  # 17 = 8 + 9 rows: no one-row block
+            (61, (0, 17), False, 5),
+            (61, (3,), True, 5),  # every affinity ties, at the K boundary too
+            (11, (1, 2, 4, 6, 9), False, 6),  # fewer than K candidates per row
+        ],
+    )
+    def test_matches_dense_path(self, monkeypatch, n, isolated, constant, K):
+        monkeypatch.setattr(pipeline, "ROW_BLOCK", 8)
+        blocks = _random_blocks(n, range(1, 11), 5, isolated, constant)
+        iso = blocks[0].isolated
+        mats = [pipeline.affinity_matrix(b) for b in blocks]
+        prod = np.prod(np.array(mats), axis=0)
+        dense = {f"A^({k})": pipeline.knn(mats[k - 1], K, iso) for k in (1, 5, 10)}
+        dense["A^All"] = pipeline.knn(prod, K, iso)
+
+        got, values = pipeline.knn_streamed(blocks, K)
+        assert list(got) == ["A^(1)", "A^(5)", "A^(10)", "A^All"]
+        for name, nb in dense.items():
+            assert np.array_equal(got[name], nb), name
+        assert np.array_equal(values, np.take_along_axis(prod, dense["A^All"], axis=1))
+        for k in (1, 5, 10):
+            assert np.array_equal(dense[f"A^({k})"], _lexsort_knn(mats[k - 1], K, iso))
+        assert np.array_equal(dense["A^All"], _lexsort_knn(prod, K, iso))
+
+    def test_rejects_bad_K(self):
+        with pytest.raises(ValueError):
+            pipeline.knn_streamed(_random_blocks(5, (1,), 0), 5)
+
+    def test_memory_is_row_blocked(self):
+        # ten n x n float64 affinities alone would take 320 MB at n = 2000
+        blocks = _random_blocks(2000, range(1, 11), 11)
+        tracemalloc.start()
+        try:
+            pipeline.knn_streamed(blocks, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestEvaluateNeighbors:

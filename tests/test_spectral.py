@@ -167,6 +167,13 @@ class TestSpectralGap:
             ratio = spectral.spectral_gap(k, h) / h**2
             assert abs(ratio - (1 + k) / 4.0) < 0.01 * (1 + k) / 4.0
 
+    def test_exact_at_small_h(self):
+        # the float form of the closed form loses ~0.5% here to cancellation
+        h = 1e-7
+        for k in (1, 5, 10):
+            target = (1 + k) * h**2 / 4.0
+            assert abs(spectral.spectral_gap(k, h) - target) < 1e-5 * target
+
     def test_vanishes_at_zero(self):
         for k in (1, 4):
             assert spectral.spectral_gap(k, 0.0) == 0.0
