@@ -199,8 +199,7 @@ def _run_pipeline(frames: FrameSet, graph, cfg: ExperimentConfig, out: Path):
         with open(out / f"scatter_k{k}.csv", "w") as fh:
             fh.write("affinity,target\n")
             fh.write(tag)
-            for a, t in pts:
-                fh.write(f"{_fmt(a)},{_fmt(t)}\n")
+            fh.writelines(f"{_fmt(a)},{_fmt(t)}\n" for a, t in pts.tolist())
 
     neighbors, values = pipeline.knn_streamed(blocks, cfg.knn_k)
     metrics = {

@@ -22,6 +22,7 @@ SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
 DEFAULT_EXTENT = 1.0
 DEFAULT_N_THETA = 360
+ALIGN_BUDGET = 2**20  # complex cross-power entries per row block of image_graph
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,51 @@ def polar_resample(
     return polar, radii
 
 
-def _polar_fft(image: Image, n_theta: int) -> tuple[np.ndarray, np.ndarray, float]:
-    polar, radii = polar_resample(image, n_theta)
-    f = np.fft.rfft(polar, axis=1)
-    w = float(np.sum(radii[:, None] * polar**2))
-    return f, radii, w
+def _spectra(
+    images: list, n_theta: int, n_r: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugated angular spectra S of shape (n_theta//2+1, n_r, n), the
+    radii, and the radially weighted energies of the polar images.
+
+    S[m, :, i] is the conjugate of image i's m-th angular Fourier
+    coefficient at every radius, stored so that each frequency's
+    cross-powers are one matrix product.
+    """
+    size = images[0].size
+    if any(img.size != size for img in images):
+        raise ValueError("image dimensions differ")
+    if n_r is None:
+        n_r = size // 2
+    spectra = np.empty((n_theta // 2 + 1, n_r, len(images)), dtype=complex)
+    weights = np.empty(len(images))
+    for idx, img in enumerate(images):
+        polar, radii = polar_resample(img, n_theta, n_r)
+        spectra[:, :, idx] = np.conj(np.fft.rfft(polar, axis=1)).T
+        weights[idx] = np.sum(radii[:, None] * polar**2)
+    return spectra, radii, weights
+
+
+def _align_rows(
+    spectra: np.ndarray,
+    radii: np.ndarray,
+    weights: np.ndarray,
+    lo: int,
+    hi: int,
+    n_theta: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and best shifts of images lo:hi against images lo+1:.
+
+    One batched matrix product forms every cross-power,
+    sum_r r F_i(m, r) conj(F_j(m, r)), for each angular frequency m; an
+    inverse FFT over m turns it into the correlation at every cyclic shift.
+    Returns (hi - lo, n - lo - 1) arrays; entries with j <= i are not pairs.
+    """
+    left = np.conj(spectra[:, :, lo:hi]).transpose(0, 2, 1) * radii
+    cross = np.fft.irfft(left @ spectra[:, :, lo + 1 :], n=n_theta, axis=0)
+    shifts = np.argmax(cross, axis=0)
+    best = np.take_along_axis(cross, shifts[None], axis=0)[0]
+    d2 = np.maximum(weights[lo:hi, None] + weights[None, lo + 1 :] - 2.0 * best, 0.0)
+    return np.sqrt(d2), shifts
 
 
 def rid_distance(
@@ -189,22 +230,16 @@ def rid_distance(
 
     Both images are resampled to the same polar grid; rotation becomes a
     cyclic shift along the angular axis and the best shift is found through
-    FFT cross-correlation with radial weights proportional to r.
+    FFT cross-correlation with radial weights proportional to r.  This is
+    image_graph's alignment kernel applied to one pair.
     """
     if img_i.size != img_j.size:
         raise ValueError("image dimensions differ")
     if n_theta < 4:
         raise ValueError("n_theta must be >= 4")
-    pi_, radii = polar_resample(img_i, n_theta, n_r)
-    pj_, _ = polar_resample(img_j, n_theta, n_r)
-    fi = np.fft.rfft(pi_, axis=1)
-    fj = np.fft.rfft(pj_, axis=1)
-    corr = np.fft.irfft(np.sum(radii[:, None] * fi * np.conj(fj), axis=0), n=n_theta)
-    wi = float(np.sum(radii[:, None] * pi_**2))
-    wj = float(np.sum(radii[:, None] * pj_**2))
-    shift = int(np.argmax(corr))
-    d2 = max(wi + wj - 2.0 * corr[shift], 0.0)
-    return float(np.sqrt(d2)), 2.0 * np.pi * shift / n_theta
+    spectra, radii, weights = _spectra([img_i, img_j], n_theta, n_r)
+    dist, shifts = _align_rows(spectra, radii, weights, 0, 1, n_theta)
+    return float(dist[0, 0]), 2.0 * np.pi * int(shifts[0, 0]) / n_theta
 
 
 def image_graph(
@@ -220,6 +255,10 @@ def image_graph(
     Exactly one edge rule applies: an explicit distance threshold `epsilon`,
     a per-vertex `top_k` neighbor union, or `edge_fraction` which calibrates
     the threshold to the given quantile of the pairwise distances.
+
+    Every pair is aligned exactly, over blocks of rows sized by
+    ALIGN_BUDGET; distances and shifts go straight into row-major
+    upper-triangle vectors, and only the top_k rule builds an n x n matrix.
     """
     n = len(images)
     if n < 2:
@@ -227,53 +266,41 @@ def image_graph(
     if sum(x is not None for x in (epsilon, top_k, edge_fraction)) != 1:
         raise ValueError("specify exactly one of epsilon, top_k, edge_fraction")
 
-    ffts, weights = [], []
-    radii = None
-    for img in images:
-        f, radii, w = _polar_fft(img, n_theta)
-        ffts.append(f)
-        weights.append(w)
-    ffts = np.array(ffts)
-    weights = np.array(weights)
-    rw = radii[:, None]
+    spectra, radii, weights = _spectra(images, n_theta)
+    rows = max(1, ALIGN_BUDGET // (n * spectra.shape[0]))
+    a = np.arange(n)
+    start = a * n - a * (a + 1) // 2  # position of pair (i, i+1)
+    flat = np.empty(n * (n - 1) // 2)
+    flat_shift = np.empty(flat.size, dtype=np.int64)
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        d, s = _align_rows(spectra, radii, weights, lo, hi, n_theta)
+        # rows lo:hi fill one contiguous run of the upper triangle
+        upper = np.triu(np.ones(d.shape, dtype=bool))
+        flat[start[lo] : start[hi]] = d[upper]
+        flat_shift[start[lo] : start[hi]] = s[upper]
+    del spectra
 
-    dist = np.zeros((n, n))
-    theta = np.zeros((n, n))
-    for i in range(n - 1):
-        cross = np.fft.irfft(
-            np.sum(rw[None] * ffts[i][None] * np.conj(ffts[i + 1 :]), axis=1),
-            n=n_theta,
-            axis=1,
-        )
-        shifts = np.argmax(cross, axis=1)
-        best = cross[np.arange(cross.shape[0]), shifts]
-        d2 = np.maximum(weights[i] + weights[i + 1 :] - 2.0 * best, 0.0)
-        dist[i, i + 1 :] = np.sqrt(d2)
-        theta[i, i + 1 :] = 2.0 * np.pi * shifts / n_theta
-
-    dist = dist + dist.T
     iu, ju = np.triu_indices(n, k=1)
-    flat = dist[iu, ju]
     if edge_fraction is not None:
         epsilon = float(np.quantile(flat, edge_fraction))
     if epsilon is not None:
         mask = flat <= epsilon
     else:
-        mask = np.zeros(flat.size, dtype=bool)
+        dist = np.zeros((n, n))
+        dist[iu, ju] = flat
+        dist = dist + dist.T
         order = np.argsort(dist + np.where(np.eye(n) > 0, np.inf, 0.0), axis=1)
-        pair_index = {}
-        for p, (a, b) in enumerate(zip(iu, ju)):
-            pair_index[(int(a), int(b))] = p
-        for i in range(n):
-            for j in order[i, :top_k]:
-                a, b = (i, int(j)) if i < j else (int(j), i)
-                mask[pair_index[(a, b)]] = True
+        near = order[:, :top_k]
+        first, second = np.minimum(a[:, None], near), np.maximum(a[:, None], near)
+        mask = np.zeros(flat.size, dtype=bool)
+        mask[start[first] + second - first - 1] = True
     ei, ej = iu[mask], ju[mask]
     return ObservationGraph(
         n_vertices=n,
         edge_i=ei,
         edge_j=ej,
-        theta=theta[ei, ej],
+        theta=2.0 * np.pi * flat_shift[mask] / n_theta,
         kind=np.zeros(ei.size, dtype=np.int8),
     )
 

@@ -46,17 +46,6 @@ def is_rotation(r: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
     return bool(ortho <= tol * 100 and abs(np.linalg.det(r) - 1.0) <= tol * 100)
 
 
-def check_rotation(r: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
-        raise ValueError("matrix determinant is not +1")
-    return r
-
-
 def rot_z(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

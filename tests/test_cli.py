@@ -211,6 +211,27 @@ class TestRun:
         assert lines[0] == "i,rank,j,affinity,true_angle_deg"
         assert lines[2:] == expected
 
+    def test_scatter_csv_rows(self, sim_dir, tmp_path):
+        tmp, cfg, sim = sim_dir
+        out = tmp_path / "run5"
+        graph_path = sim / "graph_p1.csv"
+        cli.main(
+            [
+                "run",
+                "--config", cfg,
+                "--frames", str(sim / "frames.csv"),
+                "--graph", str(graph_path),
+                "--out", str(out),
+            ]
+        )
+        frames = so3.FrameSet.from_csv(sim / "frames.csv")
+        graph = graphs.ObservationGraph.from_csv(graph_path, n_vertices=200)
+        for k in (1, 5, 10):
+            pts = pipeline.scatter_data(pipeline.embed(graph, k), frames, 10000, 23)
+            lines = (out / f"scatter_k{k}.csv").read_text().splitlines()
+            assert lines[0] == "affinity,target"
+            assert lines[2:] == [f"{cli._fmt(a)},{cli._fmt(t)}" for a, t in pts]
+
     def test_eval_round_trip(self, sim_dir, tmp_path):
         tmp, cfg, sim = sim_dir
         run_out = tmp_path / "run3"
