@@ -33,10 +33,16 @@ _CONFIG_FIELDS = {
     "image_size",
     "output_dir",
 }
+_INT_FIELDS = ("seed", "n_frames", "k_max", "knn_k", "image_size")
+_LIST_FIELDS = ("p_values", "snr_values")
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,18 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass
+                raise ConfigError(f"{name} must be an integer")
+        for name in _LIST_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+                raise ConfigError(f"{name} must be a list of numbers")
+        if not _is_number(self.cos_threshold):
+            raise ConfigError("cos_threshold must be a number")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.n_frames < 2:
@@ -64,7 +82,7 @@ class ExperimentConfig:
             raise ConfigError("k_max must be >= 1")
         if not 1 <= self.knn_k < self.n_frames:
             raise ConfigError("knn_k must satisfy 1 <= knn_k < n_frames")
-        if any(s <= 0 for s in self.snr_values):
+        if any(not s > 0 for s in self.snr_values):  # NaN fails too
             raise ConfigError("snr_values must be positive")
         if self.image_size % 2 == 0 or self.image_size < 3:
             raise ConfigError("image_size must be odd and >= 3")
@@ -183,7 +201,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_pipeline(frames: FrameSet, graph, cfg: ExperimentConfig, out: Path):
+def _run_pipeline(
+    frames: FrameSet, graph, cfg: ExperimentConfig, out: Path, edge_match=None
+):
+    """Embed, take nearest neighbours, and write every artifact under out;
+    prints one summary line per method.  `edge_match`, when given, is
+    recorded in metrics.json and printed too."""
     tag = f"# config={cfg.hash()}\n"
     blocks = [pipeline.embed(graph, k) for k in range(1, cfg.k_max + 1)]
     for block in blocks:
@@ -224,8 +247,17 @@ def _run_pipeline(frames: FrameSet, graph, cfg: ExperimentConfig, out: Path):
                 ii.tolist(), ranks.tolist(), jj.tolist(), values.ravel().tolist(), ang.tolist()
             )
         )
+    result = {"config": cfg.hash(), "methods": metrics}
+    if edge_match is not None:
+        result["edge_match"] = edge_match
+        print(f"{out}: edge match {edge_match:.3f}")
     with open(out / "metrics.json", "w") as fh:
-        json.dump({"config": cfg.hash(), "methods": metrics}, fh, indent=1)
+        json.dump(result, fh, indent=1)
+    for name, stats in metrics.items():
+        print(
+            f"{out} {name}: mean angle {stats['mean_angle_deg']:.1f} deg, "
+            f"frac<=30 {stats['frac_le_30']:.3f}"
+        )
 
 
 def cmd_run(args) -> int:
@@ -248,9 +280,10 @@ def cmd_images(args) -> int:
     clean = [
         imaging.project(phantom, r, L=cfg.image_size) for r in frames.frames
     ]
-    clean_frac = graphs.clean_graph(frames, cfg.cos_threshold).n_edges / (
-        cfg.n_frames * (cfg.n_frames - 1) / 2
-    )
+    n = cfg.n_frames
+    geometric = graphs.clean_graph(frames, cfg.cos_threshold)
+    clean_frac = geometric.n_edges / (n * (n - 1) / 2)
+    geometric_keys = geometric.edge_i * n + geometric.edge_j
     snrs = cfg.snr_values or (float("inf"),)
     for snr in snrs:
         if np.isinf(snr):
@@ -269,9 +302,16 @@ def cmd_images(args) -> int:
                 fh.write(f"{idx},{cfg.seed + 10 + idx},{label}\n")
         g = imaging.image_graph(imgs, edge_fraction=clean_frac)
         g.to_csv(out / f"image_graph_snr{label}.csv")
+        # share of the geometric graph's edges that the image graph found;
+        # undefined, and left out, when the geometric graph has none
+        match = (
+            float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))
+            if geometric.n_edges
+            else None
+        )
         sub = out / f"snr{label}"
         sub.mkdir(exist_ok=True)
-        _run_pipeline(frames, g, cfg, sub)
+        _run_pipeline(frames, g, cfg, sub, edge_match=match)
     return 0
 
 

@@ -81,18 +81,6 @@ def default_phantom() -> Phantom:
     return Phantom(blobs=_DEFAULT_BLOBS)
 
 
-def random_phantom(n_blobs: int = 6, seed: int = 2718) -> Phantom:
-    """A reproducible random phantom for ad-hoc experiments."""
-    rng = np.random.default_rng(seed)
-    blobs = []
-    for _ in range(n_blobs):
-        center = rng.uniform(-0.45, 0.45, size=3)
-        sigma = rng.uniform(0.08, 0.2)
-        amplitude = rng.uniform(0.5, 1.5)
-        blobs.append((center, sigma, amplitude))
-    return Phantom(blobs=tuple(blobs))
-
-
 @dataclass(frozen=True)
 class Image:
     """An L x L pixel grid spanning [-extent, extent]^2; L is odd so a center

@@ -112,19 +112,6 @@ def affinity_matrix(block: FrequencyBlock) -> np.ndarray:
     return _affinity_rows(_normalized_rows(block), block.isolated, 0, block.n)
 
 
-def g_affinity(block: FrequencyBlock, i: int, j: int) -> float:
-    """The root-transformed alternative 2 A^(k)^{1/k} - 1 in [-1, 1]."""
-    a = _affinity_rows(_normalized_rows(block), block.isolated, i, i + 1)[0, j]
-    if a == 0.0:
-        return -1.0
-    return 2.0 * a ** (1.0 / block.k) - 1.0
-
-
-def g_all(blocks: list, i: int, j: int) -> float:
-    """Arithmetic mean of the root-transformed affinities over frequencies."""
-    return float(np.mean([g_affinity(b, i, j) for b in blocks]))
-
-
 def _row_blocks(n: int):
     """(lo, hi) bounds of consecutive blocks of about ROW_BLOCK rows.
 

@@ -180,11 +180,3 @@ def alignment_angles(frames: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.n
     if np.any(np.hypot(c, s) < 1e-12):
         raise AntipodalFramesError("a pair has antipodal viewing directions")
     return wrap_angle(np.arctan2(s, c))
-
-
-def transport_rep(r_i: np.ndarray, r_j: np.ndarray, k: int) -> complex:
-    """e^{i k theta_ij}: the alignment angle pushed through the character-k
-    representation of SO(2)."""
-    if k == 0:
-        return 1.0 + 0.0j
-    return complex(np.exp(1j * k * alignment_angle(r_i, r_j)))

@@ -24,6 +24,12 @@ class TestExperimentConfig:
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
         assert len(a.hash()) == 16
+        # pinned: type checks on the fields must not change a valid config's hash
+        assert cli.ExperimentConfig().hash() == "e2706c5db1986d69"
+        mixed = cli.ExperimentConfig(
+            seed=3, n_frames=150, cos_threshold=0, p_values=[1, 0.5], snr_values=[16, 4]
+        )
+        assert mixed.hash() == "32a587fec45e1301"
 
     def test_rejects_unknown_key(self, tmp_path):
         path = write_config(tmp_path, seed=1, typo_key=3)
@@ -31,12 +37,27 @@ class TestExperimentConfig:
             cli.ExperimentConfig.from_json(path)
 
     def test_rejects_bad_values(self):
-        with pytest.raises(cli.ConfigError):
-            cli.ExperimentConfig(n_frames=1)
-        with pytest.raises(cli.ConfigError):
-            cli.ExperimentConfig(cos_threshold=1.5)
-        with pytest.raises(cli.ConfigError):
-            cli.ExperimentConfig(knn_k=0)
+        cases = [
+            ({"n_frames": 1}, "n_frames"),
+            ({"cos_threshold": 1.5}, "cos_threshold"),
+            ({"knn_k": 0}, "knn_k"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"n_frames": 50.0}, "n_frames"),
+            ({"k_max": "3"}, "k_max"),
+            ({"knn_k": False}, "knn_k"),
+            ({"image_size": 17.0}, "image_size"),
+            ({"p_values": 0.5}, "p_values"),
+            ({"p_values": ["0.5"]}, "p_values"),
+            ({"snr_values": 16}, "snr_values"),
+            ({"snr_values": "16"}, "snr_values"),
+            ({"snr_values": [float("nan")]}, "snr_values"),
+            ({"cos_threshold": "0.9"}, "cos_threshold"),
+            ({"output_dir": 5}, "output_dir"),
+        ]
+        for bad, key in cases:
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.ExperimentConfig(**bad)
 
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path, seed=5, n_frames=100, p_values=[0.5, 1.0])
@@ -131,6 +152,12 @@ class TestSimulate:
         cli.main(["simulate", "--config", cfg, "--seed", "9", "--out", str(out)])
         frames = so3.FrameSet.from_csv(out / "frames.csv")
         assert np.array_equal(frames.frames, so3.sample_uniform(9, 50).frames)
+
+    def test_non_integer_seed_returns_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=1.5, n_frames=50, knn_k=5)
+        code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed")
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +259,26 @@ class TestRun:
             assert lines[0] == "affinity,target"
             assert lines[2:] == [f"{cli._fmt(a)},{cli._fmt(t)}" for a, t in pts]
 
+    def test_prints_one_summary_line_per_method(self, sim_dir, tmp_path, capsys):
+        tmp, cfg, sim = sim_dir
+        out = tmp_path / "run6"
+        cli.main(
+            [
+                "run",
+                "--config", cfg,
+                "--frames", str(sim / "frames.csv"),
+                "--graph", str(sim / "graph_p1.csv"),
+                "--out", str(out),
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        methods = json.loads((out / "metrics.json").read_text())["methods"]
+        assert lines == [
+            f"{out} {name}: mean angle {stats['mean_angle_deg']:.1f} deg, "
+            f"frac<=30 {stats['frac_le_30']:.3f}"
+            for name, stats in methods.items()
+        ]
+
     def test_eval_round_trip(self, sim_dir, tmp_path):
         tmp, cfg, sim = sim_dir
         run_out = tmp_path / "run3"
@@ -280,6 +327,26 @@ class TestImages:
         metrics = json.loads((out / "snr8" / "metrics.json").read_text())
         assert "A^(1)" in metrics["methods"]
         assert "A^All" in metrics["methods"]
+        frames = so3.FrameSet.from_csv(out / "frames.csv")
+        geometric = graphs.clean_graph(frames, 0.8)
+        truth = set(zip(geometric.edge_i.tolist(), geometric.edge_j.tolist()))
+        g = graphs.ObservationGraph.from_csv(out / "image_graph_snr8.csv", n_vertices=40)
+        found = set(zip(g.edge_i.tolist(), g.edge_j.tolist()))
+        assert metrics["edge_match"] == len(truth & found) / len(truth)
+        assert metrics["edge_match"] > 0.0
+
+    def test_no_geometric_edges_leaves_edge_match_out(self, tmp_path):
+        # at cos_threshold 0.9999 the 20 frames have no geometric edge, so the
+        # match is undefined; metrics.json must stay strict JSON (no NaN)
+        cfg = write_config(
+            tmp_path, seed=6, n_frames=20, cos_threshold=0.9999, knn_k=3,
+            k_max=1, image_size=17, snr_values=[8.0],
+        )
+        out = tmp_path / "img3"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "snr8" / "metrics.json").read_text()
+        metrics = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert "edge_match" not in metrics
 
     def test_noiseless_label(self, tmp_path):
         cfg = write_config(

@@ -45,12 +45,6 @@ class TestPhantom:
         p = imaging.Phantom(blobs=(((0.1, 0.2, 0.0), 0.15, 2.0),))
         assert np.isclose(p.density(np.array([0.1, 0.2, 0.0])), 2.0)
 
-    def test_random_phantom_deterministic(self):
-        a = imaging.random_phantom(4, 1)
-        b = imaging.random_phantom(4, 1)
-        for (ca, sa, aa), (cb, sb, ab) in zip(a.blobs, b.blobs):
-            assert np.array_equal(ca, cb) and sa == sb and aa == ab
-
 
 class TestProject:
     def test_rejects_even_size(self, phantom):

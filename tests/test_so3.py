@@ -155,35 +155,6 @@ class TestAlignmentAngle:
             so3.alignment_angle(r, flipped)
 
 
-class TestTransportRep:
-    def test_trivial_character(self):
-        r_i, r_j = haar(21, 2)
-        assert so3.transport_rep(r_i, r_j, 0) == 1.0 + 0.0j
-
-    def test_conjugate_symmetry(self):
-        r_i, r_j = haar(22, 2)
-        for k in (1, 3, 7):
-            assert np.isclose(
-                so3.transport_rep(r_i, r_j, k),
-                np.conj(so3.transport_rep(r_j, r_i, k)),
-                atol=1e-10,
-            )
-
-    def test_in_plane_phase(self):
-        r = haar(23)[0]
-        alpha = 0.9
-        for k in (1, 2, 5):
-            assert np.isclose(
-                so3.transport_rep(r, r @ so3.in_plane(alpha), k),
-                np.exp(1j * k * alpha),
-                atol=1e-12,
-            )
-
-    def test_unit_modulus(self):
-        r_i, r_j = haar(24, 2)
-        assert abs(abs(so3.transport_rep(r_i, r_j, 4)) - 1.0) < 1e-14
-
-
 class TestAngleProperties:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
