@@ -273,6 +273,15 @@ def cmd_images(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     frames = sample_uniform(cfg.seed, cfg.n_frames)
+    n = cfg.n_frames
+    geometric = graphs.clean_graph(frames, cfg.cos_threshold)
+    if geometric.n_edges == 0:
+        # the image graph keeps the same share of pairs, which would be none
+        raise ValueError(
+            f"geometric graph is empty at cos_threshold {cfg.cos_threshold}: "
+            f"no pair of the {n} frames is that close"
+        )
+    clean_frac = geometric.n_edges / (n * (n - 1) / 2)
     with open(out / "frames.csv", "w") as fh:
         frames.write_csv(fh)
         fh.write(f"# config={cfg.hash()}\n")
@@ -280,9 +289,6 @@ def cmd_images(args) -> int:
     clean = [
         imaging.project(phantom, r, L=cfg.image_size) for r in frames.frames
     ]
-    n = cfg.n_frames
-    geometric = graphs.clean_graph(frames, cfg.cos_threshold)
-    clean_frac = geometric.n_edges / (n * (n - 1) / 2)
     geometric_keys = geometric.edge_i * n + geometric.edge_j
     snrs = cfg.snr_values or (float("inf"),)
     for snr in snrs:
@@ -302,13 +308,8 @@ def cmd_images(args) -> int:
                 fh.write(f"{idx},{cfg.seed + 10 + idx},{label}\n")
         g = imaging.image_graph(imgs, edge_fraction=clean_frac)
         g.to_csv(out / f"image_graph_snr{label}.csv")
-        # share of the geometric graph's edges that the image graph found;
-        # undefined, and left out, when the geometric graph has none
-        match = (
-            float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))
-            if geometric.n_edges
-            else None
-        )
+        # share of the geometric graph's edges that the image graph found
+        match = float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))
         sub = out / f"snr{label}"
         sub.mkdir(exist_ok=True)
         _run_pipeline(frames, g, cfg, sub, edge_match=match)

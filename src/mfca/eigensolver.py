@@ -1,9 +1,10 @@
-"""Deterministic top-m eigenpair extraction for complex Hermitian matrices.
+"""Deterministic top-m eigenpair extraction for sparse Hermitian matrices.
 
-Small or dense problems take a direct dense path; large sparse problems take
-an iterative Krylov path with a start vector derived deterministically from a
-hash of the matrix entries, so repeated solves of the same matrix give
-bit-identical output.
+Every solve takes the iterative Krylov path (ARPACK) with a start vector
+derived deterministically from a hash of the matrix entries, so repeated
+solves of the same matrix give bit-identical output.  ARPACK cannot return
+m >= n - 1 eigenpairs of a complex matrix; only there, for real and complex
+input alike, is the matrix made dense for a direct solve.
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-DENSE_SIZE_CAP = 4096
-SPARSE_DENSITY_CUTOFF = 0.05
-DENSE_TOL = 1e-10
-SPARSE_TOL = 1e-8
+RESIDUAL_TOL = 1e-10  # worst residual allowed, relative to max(1, ||H||_F)
 
 
 class EigensolverError(RuntimeError):
@@ -32,28 +30,23 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """An n x n complex Hermitian matrix, dense or sparse CSR."""
+    """An n x n Hermitian matrix, stored as sparse CSR.
 
-    data: object  # np.ndarray or scipy.sparse.csr_matrix
+    A real input stays real, so ARPACK's symmetric Lanczos driver solves it
+    and keeps a degenerate eigenspace's basis orthonormal.
+    """
+
+    data: sp.csr_matrix
 
     def __post_init__(self):
-        d = self.data
-        if sp.issparse(d):
-            d = d.tocsr()
-        else:
-            d = np.asarray(d, dtype=complex)
-            if d.ndim != 2 or d.shape[0] != d.shape[1]:
-                raise ValueError("matrix must be square")
+        d = sp.csr_matrix(self.data)
+        if d.shape[0] != d.shape[1]:
+            raise ValueError("matrix must be square")
         object.__setattr__(self, "data", d)
 
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def density(self) -> float:
-        nnz = self.data.nnz if sp.issparse(self.data) else int(np.count_nonzero(self.data))
-        return nnz / max(1, self.n * self.n)
 
     @classmethod
     def from_triplets(cls, n: int, ii, jj, values) -> "HermitianMatrix":
@@ -72,12 +65,10 @@ class HermitianMatrix:
         return cls(data=m)
 
     def dense(self) -> np.ndarray:
-        return self.data.toarray() if sp.issparse(self.data) else self.data
+        return self.data.toarray()
 
     def frobenius(self) -> float:
-        if sp.issparse(self.data):
-            return float(np.sqrt(np.sum(np.abs(self.data.data) ** 2)))
-        return float(np.linalg.norm(self.data))
+        return float(np.sqrt(np.sum(np.abs(self.data.data) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -93,30 +84,25 @@ class EigenPairs:
 
 
 def _start_vector(h: HermitianMatrix, start_seed: int) -> np.ndarray:
-    if sp.issparse(h.data):
-        payload = h.data.indptr.tobytes() + h.data.indices.tobytes() + h.data.data.tobytes()
-    else:
-        payload = h.data.tobytes()
+    payload = h.data.indptr.tobytes() + h.data.indices.tobytes() + h.data.data.tobytes()
     digest = hashlib.sha256(payload + start_seed.to_bytes(8, "little")).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     v = rng.standard_normal(h.n)
     return v / np.linalg.norm(v)
 
 
-def _check_contract(h: HermitianMatrix, values, vectors, tol) -> None:
+def _check_contract(h: HermitianMatrix, values, vectors) -> None:
     scale = max(1.0, h.frobenius())
     resid = h.data @ vectors - vectors * values[None, :]
-    worst = float(np.max(np.linalg.norm(resid, axis=0))) if values.size else 0.0
-    if worst > tol * scale:
+    worst = float(np.max(np.linalg.norm(resid, axis=0)))
+    if worst > RESIDUAL_TOL * scale:
         raise EigensolverError(
-            f"residual contract violated: {worst:.3e} > {tol:.1e}*{scale:.3e}",
+            f"residual contract violated: {worst:.3e} > {RESIDUAL_TOL:.1e}*{scale:.3e}",
             best_residual=worst,
         )
 
 
-def top_eigenpairs(
-    h: HermitianMatrix, m: int, tol: float | None = None, start_seed: int = 0
-) -> EigenPairs:
+def top_eigenpairs(h: HermitianMatrix, m: int, start_seed: int = 0) -> EigenPairs:
     """The m algebraically largest eigenpairs of h, descending.
 
     Deterministic for fixed input; the iterative path seeds its start vector
@@ -125,41 +111,22 @@ def top_eigenpairs(
     n = h.n
     if not 1 <= m <= n:
         raise EigensolverError(f"requested {m} eigenpairs from a {n}x{n} matrix")
-    sparse_path = n > DENSE_SIZE_CAP or h.density < SPARSE_DENSITY_CUTOFF
-    # iterative extraction needs m strictly below n; fall back to dense there
-    if sparse_path and m < n and n > 2:
-        if tol is None:
-            tol = SPARSE_TOL
-        mat = h.data if sp.issparse(h.data) else sp.csr_matrix(h.data)
+    if m < n - 1:
         v0 = _start_vector(h, start_seed)
         try:
-            vals, vecs = eigsh(mat, k=m, which="LA", v0=v0, maxiter=max(1000, 10 * m * 20))
+            vals, vecs = eigsh(h.data, k=m, which="LA", v0=v0, maxiter=max(1000, 10 * m * 20))
         except ArpackNoConvergence as exc:
             best = None
             if len(exc.eigenvalues):
-                r = mat @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues[None, :]
+                r = h.data @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues[None, :]
                 best = float(np.max(np.linalg.norm(r, axis=0)))
             raise EigensolverError(
                 f"iterative solver failed to converge: {exc}", best_residual=best
             ) from exc
     else:
-        if tol is None:
-            tol = DENSE_TOL
         vals, vecs = np.linalg.eigh(h.dense())
         vals, vecs = vals[-m:], vecs[:, -m:]
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    _check_contract(h, vals, vecs, tol)
-    return EigenPairs(values=vals, vectors=vecs)
-
-
-def full_spectrum(h: HermitianMatrix, tol: float = DENSE_TOL) -> EigenPairs:
-    """All n eigenpairs, descending; dense path only."""
-    if h.n > DENSE_SIZE_CAP:
-        raise EigensolverError(
-            f"full spectrum limited to n <= {DENSE_SIZE_CAP}, got {h.n}"
-        )
-    vals, vecs = np.linalg.eigh(h.dense())
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    _check_contract(h, vals, vecs, tol)
+    _check_contract(h, vals, vecs)
     return EigenPairs(values=vals, vectors=vecs)

@@ -253,6 +253,8 @@ def image_graph(
         raise ValueError("need at least 2 images")
     if sum(x is not None for x in (epsilon, top_k, edge_fraction)) != 1:
         raise ValueError("specify exactly one of epsilon, top_k, edge_fraction")
+    if edge_fraction is not None and not 0.0 < edge_fraction <= 1.0:
+        raise ValueError(f"edge_fraction must lie in (0, 1], got {edge_fraction}")
 
     spectra, radii, weights = _spectra(images, n_theta)
     rows = max(1, ALIGN_BUDGET // (n * spectra.shape[0]))

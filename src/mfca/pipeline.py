@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolver import HermitianMatrix, full_spectrum, top_eigenpairs
+from .eigensolver import HermitianMatrix, top_eigenpairs
 from .graphs import ObservationGraph, degrees
 from .so3 import FrameSet
 
@@ -64,10 +64,8 @@ def normalize(h: HermitianMatrix, degs: np.ndarray) -> HermitianMatrix:
         raise ValueError("degree vector length mismatch")
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
-    if sp.issparse(h.data):
-        d = sp.diags(inv_sqrt)
-        return HermitianMatrix(data=d @ h.data @ d)
-    return HermitianMatrix(data=inv_sqrt[:, None] * h.data * inv_sqrt[None, :])
+    d = sp.diags(inv_sqrt)
+    return HermitianMatrix(data=d @ h.data @ d)
 
 
 def embed(graph: ObservationGraph, k: int, start_seed: int = 0) -> FrequencyBlock:
@@ -254,8 +252,6 @@ def spectrum_report(graph: ObservationGraph, k: int, count: int = 19) -> np.ndar
     if count > graph.n_vertices:
         raise ValueError("count exceeds matrix dimension")
     hn = normalize(build_H(graph, k), degrees(graph))
-    if graph.n_vertices <= 2:
-        return full_spectrum(hn).values[:count]
     return top_eigenpairs(hn, count).values
 
 

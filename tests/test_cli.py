@@ -335,18 +335,20 @@ class TestImages:
         assert metrics["edge_match"] == len(truth & found) / len(truth)
         assert metrics["edge_match"] > 0.0
 
-    def test_no_geometric_edges_leaves_edge_match_out(self, tmp_path):
-        # at cos_threshold 0.9999 the 20 frames have no geometric edge, so the
-        # match is undefined; metrics.json must stay strict JSON (no NaN)
+    def test_empty_geometric_graph_fails(self, tmp_path, capsys):
+        # at cos_threshold 0.9999 the 20 frames have no geometric edge, so an
+        # image graph with the same share of pairs has none either
         cfg = write_config(
             tmp_path, seed=6, n_frames=20, cos_threshold=0.9999, knn_k=3,
             k_max=1, image_size=17, snr_values=[8.0],
         )
         out = tmp_path / "img3"
-        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 0
-        text = (out / "snr8" / "metrics.json").read_text()
-        metrics = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
-        assert "edge_match" not in metrics
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "geometric graph is empty" in err
+        assert "cos_threshold 0.9999" in err
+        assert not (out / "images_snr8.bin").exists()
+        assert not (out / "snr8" / "metrics.json").exists()
 
     def test_noiseless_label(self, tmp_path):
         cfg = write_config(

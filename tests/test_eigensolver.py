@@ -34,6 +34,8 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             es.HermitianMatrix(data=np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            es.HermitianMatrix(data=sp.csr_matrix((2, 3)))
 
     def test_from_triplets_mirrors_conjugate(self):
         h = es.HermitianMatrix.from_triplets(3, [0, 0], [1, 2], [1 + 2j, -1j])
@@ -49,10 +51,6 @@ class TestHermitianMatrix:
     def test_from_triplets_rejects_lower(self):
         with pytest.raises(ValueError):
             es.HermitianMatrix.from_triplets(3, [2], [0], [1.0])
-
-    def test_density(self):
-        h = es.HermitianMatrix(data=np.diag([1.0, 2.0, 0.0, 0.0]))
-        assert h.density == 2 / 16
 
     def test_frobenius_matches_dense(self):
         m = random_hermitian(6, 0)
@@ -113,11 +111,9 @@ class TestTopEigenpairs:
             es.top_eigenpairs(h, 4)
 
     def test_sparse_path_matches_dense(self):
-        # low density forces the iterative path for the sparse operand
         n = 300
         m = random_hermitian(n, 9, density=0.01)
         h_sparse = es.HermitianMatrix(data=sp.csr_matrix(m))
-        assert h_sparse.density < es.SPARSE_DENSITY_CUTOFF
         dense_vals = np.sort(np.linalg.eigvalsh(m))[::-1][:5]
         pairs = es.top_eigenpairs(h_sparse, 5)
         assert np.allclose(pairs.values, dense_vals, atol=1e-7)
@@ -129,6 +125,34 @@ class TestTopEigenpairs:
         b = es.top_eigenpairs(es.HermitianMatrix(data=m), 3)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize("m,krylov_calls", [(5, 1), (299, 0), (300, 0)])
+    def test_krylov_whenever_arpack_allows(self, monkeypatch, m, krylov_calls):
+        # 19% of the entries are nonzero, yet m < n - 1 takes the Krylov path;
+        # the direct solve runs only where ARPACK cannot
+        calls = []
+        real_eigsh = es.eigsh
+
+        def counting_eigsh(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(es, "eigsh", counting_eigsh)
+        m_dense = random_hermitian(300, 14, density=0.1)
+        pairs = es.top_eigenpairs(es.HermitianMatrix(data=sp.csr_matrix(m_dense)), m)
+        assert len(calls) == krylov_calls
+        ref = np.sort(np.linalg.eigvalsh(m_dense))[::-1][:m]
+        assert np.allclose(pairs.values, ref, atol=1e-8)
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_all_but_one_and_all_pairs_of_sparse_input(self, extra):
+        # m = n - 1 is beyond ARPACK for a complex matrix; it must not leak
+        # scipy's TypeError but solve directly, as m = n does
+        n = 60
+        m = random_hermitian(n, 15, density=0.02)
+        pairs = es.top_eigenpairs(es.HermitianMatrix(data=sp.csr_matrix(m)), n + extra)
+        ref = np.sort(np.linalg.eigvalsh(m))[::-1][: n + extra]
+        assert np.allclose(pairs.values, ref, atol=1e-10)
 
     def test_degenerate_subspace_stable_across_seeds(self):
         # rank-2 projector: the top-2 eigenspace is degenerate; the spanned
@@ -147,7 +171,7 @@ class TestTopEigenpairs:
 class TestFullSpectrum:
     def test_trace_and_frobenius(self):
         m = random_hermitian(25, 12)
-        pairs = es.full_spectrum(es.HermitianMatrix(data=m))
+        pairs = es.top_eigenpairs(es.HermitianMatrix(data=m), 25)
         assert np.isclose(np.sum(pairs.values), np.trace(m).real, atol=1e-10)
         assert np.isclose(
             np.sum(pairs.values**2), np.linalg.norm(m) ** 2, atol=1e-8
@@ -155,11 +179,6 @@ class TestFullSpectrum:
 
     def test_reconstruction(self):
         m = random_hermitian(10, 13)
-        pairs = es.full_spectrum(es.HermitianMatrix(data=m))
+        pairs = es.top_eigenpairs(es.HermitianMatrix(data=m), 10)
         rebuilt = (pairs.vectors * pairs.values[None, :]) @ pairs.vectors.conj().T
         assert np.allclose(rebuilt, m, atol=1e-10)
-
-    def test_size_cap(self):
-        h = es.HermitianMatrix(data=sp.eye(es.DENSE_SIZE_CAP + 1, format="csr"))
-        with pytest.raises(es.EigensolverError):
-            es.full_spectrum(h)

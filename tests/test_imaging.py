@@ -325,6 +325,13 @@ class TestImageGraph:
             tracemalloc.stop()
         assert peak < 90 * 2**20
 
+    @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
+    def test_rejects_edge_fraction_outside_unit_interval(self, setup, frac):
+        # a zero quantile would still keep the closest pair as one edge
+        _, imgs = setup
+        with pytest.raises(ValueError, match="edge_fraction"):
+            imaging.image_graph(imgs, edge_fraction=frac)
+
     def test_rejects_single_image(self, setup):
         _, imgs = setup
         with pytest.raises(ValueError):
