@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graphs, imaging, pipeline, spectral, wigner as wig
+from .csvio import write_rows
 from .so3 import FrameSet, sample_uniform
 
 _CONFIG_FIELDS = {
@@ -214,15 +215,15 @@ def _run_pipeline(
         with open(out / f"spectrum_k{k}.csv", "w") as fh:
             fh.write("rank,eigenvalue\n")
             fh.write(tag)
-            for r, v in enumerate(block.eigenvalues):
-                fh.write(f"{r},{_fmt(v)}\n")
+            values = block.eigenvalues
+            write_rows(fh, "%d,%.17g\n", np.arange(values.size), values)
         pts = pipeline.scatter_data(
             block, frames, min(10000, block.n * (block.n - 1) // 2), cfg.seed + 2
         )
         with open(out / f"scatter_k{k}.csv", "w") as fh:
             fh.write("affinity,target\n")
             fh.write(tag)
-            fh.writelines(f"{_fmt(a)},{_fmt(t)}\n" for a, t in pts.tolist())
+            write_rows(fh, "%.17g,%.17g\n", pts[:, 0], pts[:, 1])
 
     neighbors, values = pipeline.knn_streamed(blocks, cfg.knn_k)
     metrics = {
@@ -241,12 +242,7 @@ def _run_pipeline(
     with open(out / "neighbors.csv", "w") as fh:
         fh.write("i,rank,j,affinity,true_angle_deg\n")
         fh.write(tag)
-        fh.writelines(
-            f"{i},{r},{j},{_fmt(a)},{_fmt(g)}\n"
-            for i, r, j, a, g in zip(
-                ii.tolist(), ranks.tolist(), jj.tolist(), values.ravel().tolist(), ang.tolist()
-            )
-        )
+        write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", ii, ranks, jj, values.ravel(), ang)
     result = {"config": cfg.hash(), "methods": metrics}
     if edge_match is not None:
         result["edge_match"] = edge_match
@@ -304,8 +300,8 @@ def cmd_images(args) -> int:
         with open(out / f"images_snr{label}.csv", "w") as fh:
             fh.write("index,seed,snr\n")
             fh.write(f"# config={cfg.hash()}\n")
-            for idx in range(len(imgs)):
-                fh.write(f"{idx},{cfg.seed + 10 + idx},{label}\n")
+            idx = np.arange(len(imgs))
+            write_rows(fh, f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx)
         g = imaging.image_graph(imgs, edge_fraction=clean_frac)
         g.to_csv(out / f"image_graph_snr{label}.csv")
         # share of the geometric graph's edges that the image graph found

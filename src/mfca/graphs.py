@@ -8,17 +8,21 @@ from the graph Hermitian by construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_rows
 from .so3 import FrameSet, alignment_angles
 
 GOOD = 0
 REWIRED = 1
 
-_KIND_NAMES = {GOOD: "good", REWIRED: "rewired"}
-_KIND_CODES = {v: k for k, v in _KIND_NAMES.items()}
+_KIND_NAMES = np.array(["good", "rewired"])  # indexed by kind code
+_HEADER = "i,j,theta,kind"
+# one character wider than "rewired", so a cut-off kind is never a known one
+_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("theta", float), ("kind", "U8")])
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class ObservationGraph:
         kd = np.asarray(self.kind, dtype=np.int8)
         if not (ei.shape == ej.shape == th.shape == kd.shape):
             raise ValueError("edge arrays must have equal lengths")
+        if np.any((kd != GOOD) & (kd != REWIRED)):
+            raise ValueError("edge kind must be GOOD or REWIRED")
         if ei.size:
             if np.any(ei >= ej):
                 raise ValueError("edges must satisfy i < j (no self loops)")
@@ -57,37 +63,62 @@ class ObservationGraph:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("i,j,theta,kind\n")
-            for i, j, th, kd in zip(self.edge_i, self.edge_j, self.theta, self.kind):
-                fh.write(f"{i},{j},{format(th, '.17g')},{_KIND_NAMES[int(kd)]}\n")
+            fh.write(_HEADER + "\n")
+            write_rows(
+                fh, "%d,%d,%.17g,%s\n",
+                self.edge_i, self.edge_j, self.theta, _KIND_NAMES[self.kind],
+            )
 
     @classmethod
     def from_csv(cls, path, n_vertices: int | None = None) -> "ObservationGraph":
-        ei, ej, th, kd = [], [], [], []
+        """Read a graph written by to_csv in one parsing pass; '#' comments
+        are skipped.  A malformed row or an unknown kind raises ValueError
+        naming the file."""
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != "i,j,theta,kind":
+            if header != _HEADER:
                 raise ValueError(f"unexpected graph header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fi, fj, fth, fkd = line.split(",")
-                if fkd not in _KIND_CODES:
-                    raise ValueError(f"unknown edge kind {fkd!r}")
-                ei.append(int(fi))
-                ej.append(int(fj))
-                th.append(float(fth))
-                kd.append(_KIND_CODES[fkd])
+            try:
+                with warnings.catch_warnings():
+                    # a graph with no edges is a valid file
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, delimiter=",", dtype=_ROW, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(_bad_row_message(path) or f"{path}: {exc}") from exc
+        kind = np.full(rows.size, -1, dtype=np.int8)
+        for code, name in enumerate(_KIND_NAMES):
+            kind[rows["kind"] == name] = code
+        if np.any(kind < 0):
+            raise ValueError(_bad_row_message(path) or f"{path}: unknown edge kind")
+        ej = rows["j"].copy()
         if n_vertices is None:
-            n_vertices = (max(ej) + 1) if ej else 0
+            n_vertices = int(ej.max()) + 1 if ej.size else 0
         return cls(
             n_vertices=n_vertices,
-            edge_i=np.array(ei, dtype=np.int64),
-            edge_j=np.array(ej, dtype=np.int64),
-            theta=np.array(th),
-            kind=np.array(kd, dtype=np.int8),
+            edge_i=rows["i"].copy(),
+            edge_j=ej,
+            theta=rows["theta"].copy(),
+            kind=kind,
         )
+
+
+def _bad_row_message(path) -> str | None:
+    """Name the first data line of a graph CSV that is not `i,j,theta,kind`
+    with a known kind, or None if every line is."""
+    with open(path) as fh:
+        next(fh)
+        for number, line in enumerate(fh, start=2):
+            text = line.split("#")[0].strip()
+            if not text:
+                continue
+            try:
+                fi, fj, fth, kind = text.split(",")
+                int(fi), int(fj), float(fth)
+            except ValueError:
+                return f"{path}: line {number}: bad graph row {text!r} (expected {_HEADER})"
+            if kind not in _KIND_NAMES.tolist():
+                return f"{path}: line {number}: unknown edge kind {kind!r}"
+    return None
 
 
 def clean_graph(frames: FrameSet, cos_threshold: float) -> ObservationGraph:

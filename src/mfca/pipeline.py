@@ -6,8 +6,8 @@ For each frequency k the graph's alignment angles are encoded as e^{i k
 theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix give the
 per-vertex embedding, whose normalized inner products define the affinity
 A^(k).  Affinities multiply across frequencies into the aggregate A^All.
-Nearest neighbors come from one pass over blocks of rows, so memory stays
-O(ROW_BLOCK * n) and no n x n matrix is built.
+Nearest neighbors come from one pass over blocks of rows, each within
+ROW_BUDGET entries at any n, so no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .eigensolver import HermitianMatrix, top_eigenpairs
 from .graphs import ObservationGraph, degrees
 from .so3 import FrameSet
 
-ROW_BLOCK = 256  # rows per block of the streamed affinity pass
+ROW_BLOCK = 256  # most rows per block of the streamed affinity pass
+# most affinity entries per block: ROW_BLOCK rows up to n = 2048, fewer above
+ROW_BUDGET = 2**19
 REPORTED_KS = (1, 5, 10)  # frequencies whose own K-NN knn_streamed reports
 GROUP_REL_TOL = 0.02
 
@@ -111,15 +113,17 @@ def affinity_matrix(block: FrequencyBlock) -> np.ndarray:
 
 
 def _row_blocks(n: int):
-    """(lo, hi) bounds of consecutive blocks of about ROW_BLOCK rows.
+    """(lo, hi) bounds of consecutive blocks of ROW_BLOCK rows, or of as many
+    as keep a block of n columns within ROW_BUDGET entries, if fewer.
 
     A one-row block is folded into the block before it: numpy computes a
     one-row product with BLAS gemv, which rounds differently from the gemm
     of the whole-range affinity_matrix.
     """
+    step = max(2, min(ROW_BLOCK, ROW_BUDGET // n))  # never a one-row block
     lo = 0
     while lo < n:
-        hi = min(lo + ROW_BLOCK, n)
+        hi = min(lo + step, n)
         if n - hi == 1:
             hi = n
         yield lo, hi
@@ -171,7 +175,7 @@ def knn(affinity: np.ndarray, K: int, isolated: np.ndarray | None = None) -> np.
 
 def knn_streamed(blocks: list, K: int) -> tuple:
     """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
-    in one pass over blocks of ROW_BLOCK rows, so no n x n matrix is built.
+    in one pass over blocks of rows, so no n x n matrix is built.
 
     Each row block of A^All is multiplied up in the order of `blocks`, which
     reproduces np.prod over a stacked array bit for bit.  Returns a dict of

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import write_rows
+
 TWO_PI = 2.0 * np.pi
 
 _ORTHO_TOL = 1e-12
@@ -125,9 +127,8 @@ class FrameSet:
 
     def write_csv(self, fh) -> None:
         fh.write("index," + ",".join(f"r{a}{b}" for a in "123" for b in "123") + "\n")
-        for idx, r in enumerate(self.frames):
-            vals = ",".join(format(v, ".17g") for v in r.ravel())
-            fh.write(f"{idx},{vals}\n")
+        n = len(self)
+        write_rows(fh, "%d" + ",%.17g" * 9 + "\n", np.arange(n), *self.frames.reshape(n, 9).T)
 
     @classmethod
     def from_csv(cls, path, seed: int = 0) -> "FrameSet":

@@ -3,13 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from mfca import cli, graphs, pipeline, so3, spectral, wigner
+from mfca import cli, csvio, graphs, pipeline, so3, spectral, wigner
 
 
 def write_config(tmp_path, **kwargs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kwargs))
     return str(path)
+
+
+def write_rows_at_chunk_boundary(monkeypatch, delta):
+    """Make every CSV writer's row count CHUNK + delta, whatever it is."""
+
+    def at_boundary(fh, template, *columns):
+        monkeypatch.setattr(csvio, "CHUNK", max(1, len(columns[0]) - delta))
+        csvio.write_rows(fh, template, *columns)
+
+    for module in (cli, graphs, so3):
+        monkeypatch.setattr(module, "write_rows", at_boundary)
 
 
 class TestExperimentConfig:
@@ -259,6 +270,70 @@ class TestRun:
             assert lines[0] == "affinity,target"
             assert lines[2:] == [f"{cli._fmt(a)},{cli._fmt(t)}" for a, t in pts]
 
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_every_csv_matches_per_value_format(self, tmp_path, monkeypatch, delta):
+        # each writer's rows number CHUNK - 1, CHUNK or CHUNK + 1
+        write_rows_at_chunk_boundary(monkeypatch, delta)
+        cfg = write_config(
+            tmp_path, seed=8, n_frames=100, cos_threshold=0.9, p_values=[1.0, 0.5], knn_k=5
+        )
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+        argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+        argv += ["--graph", str(sim / "graph_p0.5.csv"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        tag = f"# config={cli.ExperimentConfig.from_json(cfg).hash()}"
+
+        def rows(path, header):
+            """Data lines, after checking the header and the config line
+            (simulate appends it, run writes it second)."""
+            lines = path.read_text().splitlines()
+            assert lines[0] == header
+            assert tag in (lines[1], lines[-1])
+            return [ln for ln in lines[1:] if ln != tag]
+
+        frames = so3.sample_uniform(8, 100)
+        header = "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123")
+        assert rows(sim / "frames.csv", header) == [
+            f"{i}," + ",".join(cli._fmt(v) for v in r.ravel())
+            for i, r in enumerate(frames.frames)
+        ]
+        clean = graphs.clean_graph(frames, 0.9)
+        rewired = graphs.rewire(clean, 0.5, 9)
+        names = ("good", "rewired")
+        for p, g in (("1", clean), ("0.5", rewired)):
+            assert rows(sim / f"graph_p{p}.csv", "i,j,theta,kind") == [
+                f"{i},{j},{cli._fmt(t)},{names[k]}"
+                for i, j, t, k in zip(g.edge_i, g.edge_j, g.theta, g.kind)
+            ]
+        blocks = [pipeline.embed(rewired, k) for k in range(1, 11)]
+        for b in blocks:
+            assert rows(out / f"spectrum_k{b.k}.csv", "rank,eigenvalue") == [
+                f"{r},{cli._fmt(v)}" for r, v in enumerate(b.eigenvalues)
+            ]
+            pts = pipeline.scatter_data(b, frames, 4950, 10)
+            assert rows(out / f"scatter_k{b.k}.csv", "affinity,target") == [
+                f"{cli._fmt(a)},{cli._fmt(t)}" for a, t in pts
+            ]
+        nb, values = pipeline.knn_streamed(blocks, 5)
+        dirs = frames.viewing_directions()
+        assert rows(out / "neighbors.csv", "i,rank,j,affinity,true_angle_deg") == [
+            f"{i},{r},{j},{cli._fmt(values[i, r])},"
+            f"{cli._fmt(np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))))}"
+            for i in range(100)
+            for r, j in enumerate(nb["A^All"][i])
+        ]
+
+    def test_bad_graph_row_names_file_and_row(self, sim_dir, tmp_path, capsys):
+        tmp, cfg, sim = sim_dir
+        bad = tmp_path / "bad_graph.csv"
+        bad.write_text("i,j,theta,kind\n0,1,0.5,good\n0,2,0.5\n")
+        argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+        argv += ["--graph", str(bad), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: bad graph row '0,2,0.5' (expected i,j,theta,kind)\n"
+
     def test_prints_one_summary_line_per_method(self, sim_dir, tmp_path, capsys):
         tmp, cfg, sim = sim_dir
         out = tmp_path / "run6"
@@ -334,6 +409,19 @@ class TestImages:
         found = set(zip(g.edge_i.tolist(), g.edge_j.tolist()))
         assert metrics["edge_match"] == len(truth & found) / len(truth)
         assert metrics["edge_match"] > 0.0
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_index_csv_matches_per_value_format(self, tmp_path, monkeypatch, delta):
+        write_rows_at_chunk_boundary(monkeypatch, delta)
+        cfg = write_config(
+            tmp_path, seed=6, n_frames=20, cos_threshold=0.8, knn_k=3,
+            k_max=1, image_size=9, snr_values=[2.5],
+        )
+        out = tmp_path / "img"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "images_snr2.5.csv").read_text().splitlines()
+        assert lines[0] == "index,seed,snr"
+        assert lines[2:] == [f"{i},{16 + i},2.5" for i in range(20)]
 
     def test_empty_geometric_graph_fails(self, tmp_path, capsys):
         # at cos_threshold 0.9999 the 20 frames have no geometric edge, so an

@@ -27,6 +27,14 @@ class TestObservationGraph:
         with pytest.raises(ValueError):
             make_graph(2, [(0, 5, 0.0)])
 
+    @pytest.mark.parametrize("kind", [-1, 2])
+    def test_rejects_unknown_kind(self, kind):
+        # a kind code outside GOOD/REWIRED would index past the CSV name table
+        with pytest.raises(ValueError, match="kind"):
+            graphs.ObservationGraph(
+                n_vertices=2, edge_i=[0], edge_j=[1], theta=[0.0], kind=[kind]
+            )
+
     def test_csv_round_trip(self, tmp_path):
         fs = so3.sample_uniform(3, 200)
         g = graphs.clean_graph(fs, 0.9)
@@ -38,11 +46,71 @@ class TestObservationGraph:
         assert np.array_equal(back.theta, g.theta)
         assert np.array_equal(back.kind, g.kind)
 
+    def test_csv_round_trip_rewired_with_config_line(self, tmp_path):
+        clean = graphs.clean_graph(so3.sample_uniform(4, 300), 0.9)
+        g = graphs.rewire(clean, 0.5, 7)
+        assert 0 < np.count_nonzero(g.kind) < g.n_edges
+        path = tmp_path / "g.csv"
+        g.to_csv(path)
+        written = path.read_bytes()
+        with open(path, "a") as fh:
+            fh.write("# config=0123456789abcdef\n")
+        back = graphs.ObservationGraph.from_csv(path, n_vertices=300)
+        for name in ("edge_i", "edge_j", "theta", "kind"):
+            assert np.array_equal(getattr(back, name), getattr(g, name)), name
+        again = tmp_path / "again.csv"
+        back.to_csv(again)
+        assert again.read_bytes() == written
+
+    def test_csv_round_trip_empty_graph(self, tmp_path):
+        empty = make_graph(5, [])
+        path = tmp_path / "g.csv"
+        empty.to_csv(path)
+        assert path.read_text() == "i,j,theta,kind\n"
+        with open(path, "a") as fh:
+            fh.write("# config=0123456789abcdef\n")
+        back = graphs.ObservationGraph.from_csv(path)
+        assert back.n_vertices == 0 and back.n_edges == 0
+        assert graphs.ObservationGraph.from_csv(path, n_vertices=5).n_vertices == 5
+
+    def test_to_csv_matches_per_value_format(self, tmp_path):
+        # theta is not range-checked, so any float can reach the writer
+        th = [-0.0, 5e-324, 1e-5, 1e16, 1e17, np.inf, np.nan, 1.0 / 3.0]
+        n = len(th)
+        kind = np.arange(n, dtype=np.int8) % 2
+        g = graphs.ObservationGraph(
+            n_vertices=n + 1, edge_i=np.arange(n), edge_j=np.arange(n) + 1,
+            theta=th, kind=kind,
+        )
+        path = tmp_path / "g.csv"
+        g.to_csv(path)
+        names = {graphs.GOOD: "good", graphs.REWIRED: "rewired"}
+        assert path.read_text().splitlines() == ["i,j,theta,kind"] + [
+            f"{e},{e + 1},{format(t, '.17g')},{names[k]}" for e, (t, k) in enumerate(zip(th, kind))
+        ]
+        back = graphs.ObservationGraph.from_csv(path)
+        assert np.array_equal(back.theta, g.theta, equal_nan=True)
+        assert np.array_equal(np.signbit(back.theta), np.signbit(g.theta))
+
     def test_csv_rejects_bad_kind(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("i,j,theta,kind\n0,1,0.5,mystery\n")
-        with pytest.raises(ValueError):
+        for kind in ("mystery", "rewiredx", "mysterious_kind", "Good"):
+            path.write_text(f"i,j,theta,kind\n0,1,0.5,good\n0,2,0.5,{kind}\n")
+            with pytest.raises(ValueError) as err:
+                graphs.ObservationGraph.from_csv(path)
+            assert str(err.value) == f"{path}: line 3: unknown edge kind {kind!r}"
+
+    @pytest.mark.parametrize(
+        "row", ["0,2,0.5", "0,2,0.5,good,extra", "0,x,0.5,good", "0,2,half,good"]
+    )
+    def test_csv_rejects_bad_row_naming_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"i,j,theta,kind\n0,1,0.5,good\n# comment\n{row}\n1,2,0.5,good\n")
+        with pytest.raises(ValueError) as err:
             graphs.ObservationGraph.from_csv(path)
+        assert str(err.value) == (
+            f"{path}: line 4: bad graph row {row!r} (expected i,j,theta,kind)"
+        )
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -262,6 +262,26 @@ class TestKnnStreamed:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_memory_stays_flat_in_n(self):
+        # 256-row blocks peaked at 75 MB here; 27 MB is the n = 2000 peak
+        # of the test above
+        blocks = _random_blocks(8000, (1, 2), 12)
+        tracemalloc.start()
+        try:
+            pipeline.knn_streamed(blocks, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    def test_block_rows_follow_the_budget(self):
+        assert list(pipeline._row_blocks(600)) == [(0, 256), (256, 512), (512, 600)]
+        assert list(pipeline._row_blocks(2048))[0] == (0, 256)
+        blocks = list(pipeline._row_blocks(8000))
+        assert blocks[0] == (0, pipeline.ROW_BUDGET // 8000)
+        assert all(hi - lo >= 2 for lo, hi in blocks)
+        assert blocks[-1][1] == 8000
+
 
 class TestEvaluateNeighbors:
     def test_geometric_truth_is_tight(self, frames, clean):

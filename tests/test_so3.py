@@ -203,6 +203,17 @@ class TestFrameSet:
         back = so3.FrameSet.from_csv(path)
         assert np.array_equal(back.frames, fs.frames)
 
+    def test_write_csv_matches_per_value_format(self):
+        # FrameSet does not check orthogonality, so any float can be written
+        vals = [-0.0, 5e-324, 1e-5, 1e16, 1e17, np.inf, -np.inf, np.nan, 1.0 / 3.0]
+        frames = np.array([vals, vals[::-1]]).reshape(2, 3, 3)
+        buf = io.StringIO()
+        so3.FrameSet(frames=frames).write_csv(buf)
+        assert buf.getvalue().splitlines()[1:] == [
+            f"{idx}," + ",".join(format(v, ".17g") for v in r.ravel())
+            for idx, r in enumerate(frames)
+        ]
+
     def test_header(self):
         fs = so3.sample_uniform(1, 2)
         buf = io.StringIO()
