@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +23,6 @@ from . import graphs, imaging, pipeline, spectral, wigner as wig
 from .csvio import write_rows
 from .so3 import FrameSet, sample_uniform
 
-_CONFIG_FIELDS = {
-    "seed",
-    "n_frames",
-    "cos_threshold",
-    "p_values",
-    "k_max",
-    "knn_k",
-    "snr_values",
-    "image_size",
-    "output_dir",
-}
 _INT_FIELDS = ("seed", "n_frames", "k_max", "knn_k", "image_size")
 _LIST_FIELDS = ("p_values", "snr_values")
 
@@ -96,7 +85,7 @@ class ExperimentConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _CONFIG_FIELDS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)

@@ -9,7 +9,7 @@ from the graph Hermitian by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class ObservationGraph:
                 raise ValueError("edges must satisfy i < j (no self loops)")
             if np.any((ei < 0) | (ej >= self.n_vertices)):
                 raise ValueError("edge endpoint out of range")
-            keys = ei * self.n_vertices + ej
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(ei * self.n_vertices + ej)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate edges")
         for name, arr in (("edge_i", ei), ("edge_j", ej), ("theta", th), ("kind", kd)):
             object.__setattr__(self, name, arr)
@@ -136,10 +136,10 @@ def clean_graph(frames: FrameSet, cos_threshold: float) -> ObservationGraph:
         keep = a + bi < bj
         ii_parts.append(a + bi[keep])
         jj_parts.append(bj[keep])
+    # blocks run in increasing i and np.nonzero is row-major, so the edges
+    # are already sorted by (i, j)
     ii = np.concatenate(ii_parts)
     jj = np.concatenate(jj_parts)
-    order = np.lexsort((jj, ii))
-    ii, jj = ii[order], jj[order]
     theta = alignment_angles(frames.frames, ii, jj) if ii.size else np.empty(0)
     return ObservationGraph(
         n_vertices=n,

@@ -16,12 +16,11 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .graphs import ObservationGraph
-from .so3 import FrameSet
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
 DEFAULT_EXTENT = 1.0
-DEFAULT_N_THETA = 360
+N_THETA = 360  # angles of the polar grid, which sets the alignment resolution
 ALIGN_BUDGET = 2**20  # complex cross-power entries per row block of image_graph
 
 
@@ -144,18 +143,15 @@ def add_noise(image: Image, snr: float, seed: int) -> Image:
     return Image(pixels=image.pixels + noise, extent=image.extent)
 
 
-def polar_resample(
-    image: Image, n_theta: int = DEFAULT_N_THETA, n_r: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear resampling onto an (n_r, n_theta) polar grid.
+def polar_resample(image: Image) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear resampling onto an (L // 2, N_THETA) polar grid.
 
     Returns (polar, radii); radii serve as area weights in distances.
     """
-    if n_r is None:
-        n_r = image.size // 2
     L, extent = image.size, image.extent
+    n_r = L // 2
     radii = (np.arange(n_r) + 0.5) * extent / n_r
-    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    angles = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     x = radii[:, None] * np.cos(angles)[None, :]
     y = radii[:, None] * np.sin(angles)[None, :]
     step = 2.0 * extent / (L - 1)
@@ -164,10 +160,8 @@ def polar_resample(
     return polar, radii
 
 
-def _spectra(
-    images: list, n_theta: int, n_r: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conjugated angular spectra S of shape (n_theta//2+1, n_r, n), the
+def _spectra(images: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugated angular spectra S of shape (N_THETA//2+1, n_r, n), the
     radii, and the radially weighted energies of the polar images.
 
     S[m, :, i] is the conjugate of image i's m-th angular Fourier
@@ -177,24 +171,18 @@ def _spectra(
     size = images[0].size
     if any(img.size != size for img in images):
         raise ValueError("image dimensions differ")
-    if n_r is None:
-        n_r = size // 2
-    spectra = np.empty((n_theta // 2 + 1, n_r, len(images)), dtype=complex)
     weights = np.empty(len(images))
     for idx, img in enumerate(images):
-        polar, radii = polar_resample(img, n_theta, n_r)
+        polar, radii = polar_resample(img)
+        if idx == 0:
+            spectra = np.empty((N_THETA // 2 + 1, radii.size, len(images)), dtype=complex)
         spectra[:, :, idx] = np.conj(np.fft.rfft(polar, axis=1)).T
         weights[idx] = np.sum(radii[:, None] * polar**2)
     return spectra, radii, weights
 
 
 def _align_rows(
-    spectra: np.ndarray,
-    radii: np.ndarray,
-    weights: np.ndarray,
-    lo: int,
-    hi: int,
-    n_theta: int,
+    spectra: np.ndarray, radii: np.ndarray, weights: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and best shifts of images lo:hi against images lo+1:.
 
@@ -204,16 +192,14 @@ def _align_rows(
     Returns (hi - lo, n - lo - 1) arrays; entries with j <= i are not pairs.
     """
     left = np.conj(spectra[:, :, lo:hi]).transpose(0, 2, 1) * radii
-    cross = np.fft.irfft(left @ spectra[:, :, lo + 1 :], n=n_theta, axis=0)
+    cross = np.fft.irfft(left @ spectra[:, :, lo + 1 :], n=N_THETA, axis=0)
     shifts = np.argmax(cross, axis=0)
     best = np.take_along_axis(cross, shifts[None], axis=0)[0]
     d2 = np.maximum(weights[lo:hi, None] + weights[None, lo + 1 :] - 2.0 * best, 0.0)
     return np.sqrt(d2), shifts
 
 
-def rid_distance(
-    img_i: Image, img_j: Image, n_theta: int = DEFAULT_N_THETA, n_r: int | None = None
-) -> tuple[float, float]:
+def rid_distance(img_i: Image, img_j: Image) -> tuple[float, float]:
     """Rotationally invariant distance and the optimal alignment angle.
 
     Both images are resampled to the same polar grid; rotation becomes a
@@ -221,42 +207,28 @@ def rid_distance(
     FFT cross-correlation with radial weights proportional to r.  This is
     image_graph's alignment kernel applied to one pair.
     """
-    if img_i.size != img_j.size:
-        raise ValueError("image dimensions differ")
-    if n_theta < 4:
-        raise ValueError("n_theta must be >= 4")
-    spectra, radii, weights = _spectra([img_i, img_j], n_theta, n_r)
-    dist, shifts = _align_rows(spectra, radii, weights, 0, 1, n_theta)
-    return float(dist[0, 0]), 2.0 * np.pi * int(shifts[0, 0]) / n_theta
+    spectra, radii, weights = _spectra([img_i, img_j])
+    dist, shifts = _align_rows(spectra, radii, weights, 0, 1)
+    return float(dist[0, 0]), 2.0 * np.pi * int(shifts[0, 0]) / N_THETA
 
 
-def image_graph(
-    images: list,
-    epsilon: float | None = None,
-    top_k: int | None = None,
-    edge_fraction: float | None = None,
-    n_theta: int = DEFAULT_N_THETA,
-) -> ObservationGraph:
+def image_graph(images: list, edge_fraction: float) -> ObservationGraph:
     """Build an observation graph from pairwise rotationally invariant
     distances; edges carry the estimated alignment angles.
 
-    Exactly one edge rule applies: an explicit distance threshold `epsilon`,
-    a per-vertex `top_k` neighbor union, or `edge_fraction` which calibrates
-    the threshold to the given quantile of the pairwise distances.
-
-    Every pair is aligned exactly, over blocks of rows sized by
-    ALIGN_BUDGET; distances and shifts go straight into row-major
-    upper-triangle vectors, and only the top_k rule builds an n x n matrix.
+    The graph keeps every pair whose distance is at or below the
+    `edge_fraction` quantile of all pair distances.  Every pair is aligned
+    exactly, over blocks of rows sized by ALIGN_BUDGET; distances and
+    shifts go straight into row-major upper-triangle vectors, so no n x n
+    matrix is built.
     """
     n = len(images)
     if n < 2:
         raise ValueError("need at least 2 images")
-    if sum(x is not None for x in (epsilon, top_k, edge_fraction)) != 1:
-        raise ValueError("specify exactly one of epsilon, top_k, edge_fraction")
-    if edge_fraction is not None and not 0.0 < edge_fraction <= 1.0:
+    if not 0.0 < edge_fraction <= 1.0:
         raise ValueError(f"edge_fraction must lie in (0, 1], got {edge_fraction}")
 
-    spectra, radii, weights = _spectra(images, n_theta)
+    spectra, radii, weights = _spectra(images)
     rows = max(1, ALIGN_BUDGET // (n * spectra.shape[0]))
     a = np.arange(n)
     start = a * n - a * (a + 1) // 2  # position of pair (i, i+1)
@@ -264,33 +236,21 @@ def image_graph(
     flat_shift = np.empty(flat.size, dtype=np.int64)
     for lo in range(0, n - 1, rows):
         hi = min(lo + rows, n - 1)
-        d, s = _align_rows(spectra, radii, weights, lo, hi, n_theta)
+        d, s = _align_rows(spectra, radii, weights, lo, hi)
         # rows lo:hi fill one contiguous run of the upper triangle
         upper = np.triu(np.ones(d.shape, dtype=bool))
         flat[start[lo] : start[hi]] = d[upper]
         flat_shift[start[lo] : start[hi]] = s[upper]
     del spectra
 
+    mask = flat <= np.quantile(flat, edge_fraction)
     iu, ju = np.triu_indices(n, k=1)
-    if edge_fraction is not None:
-        epsilon = float(np.quantile(flat, edge_fraction))
-    if epsilon is not None:
-        mask = flat <= epsilon
-    else:
-        dist = np.zeros((n, n))
-        dist[iu, ju] = flat
-        dist = dist + dist.T
-        order = np.argsort(dist + np.where(np.eye(n) > 0, np.inf, 0.0), axis=1)
-        near = order[:, :top_k]
-        first, second = np.minimum(a[:, None], near), np.maximum(a[:, None], near)
-        mask = np.zeros(flat.size, dtype=bool)
-        mask[start[first] + second - first - 1] = True
     ei, ej = iu[mask], ju[mask]
     return ObservationGraph(
         n_vertices=n,
         edge_i=ei,
         edge_j=ej,
-        theta=2.0 * np.pi * flat_shift[mask] / n_theta,
+        theta=2.0 * np.pi * flat_shift[mask] / N_THETA,
         kind=np.zeros(ei.size, dtype=np.int8),
     )
 
@@ -305,7 +265,7 @@ def save_images(path, images: list) -> None:
             fh.write(img.pixels.astype("<f8").tobytes())
 
 
-def load_images(path, extent: float = DEFAULT_EXTENT) -> list:
+def load_images(path) -> list:
     images = []
     with open(path, "rb") as fh:
         while True:
@@ -319,5 +279,5 @@ def load_images(path, extent: float = DEFAULT_EXTENT) -> list:
             if len(raw) != 8 * h * w:
                 raise ValueError("truncated image payload")
             pixels = np.frombuffer(raw, dtype="<f8").reshape(h, w)
-            images.append(Image(pixels=pixels.copy(), extent=extent))
+            images.append(Image(pixels=pixels.copy()))
     return images

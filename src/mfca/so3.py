@@ -11,8 +11,7 @@ with phi, psi in [0, 2*pi) and theta in [0, pi].
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,7 +105,6 @@ class FrameSet:
     """A batch of N frames sampled or loaded together."""
 
     frames: np.ndarray  # (N, 3, 3)
-    seed: int = 0
 
     def __post_init__(self):
         f = np.asarray(self.frames, dtype=float)
@@ -131,12 +129,12 @@ class FrameSet:
         write_rows(fh, "%d" + ",%.17g" * 9 + "\n", np.arange(n), *self.frames.reshape(n, 9).T)
 
     @classmethod
-    def from_csv(cls, path, seed: int = 0) -> "FrameSet":
+    def from_csv(cls, path) -> "FrameSet":
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 10:
             raise ValueError("frame CSV must have 10 columns (index + 9 entries)")
         frames = data[:, 1:].reshape(-1, 3, 3)
-        return cls(frames=frames, seed=seed)
+        return cls(frames=frames)
 
 
 def sample_uniform(seed: int, n: int) -> FrameSet:
@@ -156,7 +154,7 @@ def sample_uniform(seed: int, n: int) -> FrameSet:
     q = q * sign[:, None, :]
     neg = np.linalg.det(q) < 0
     q[neg, :, 2] *= -1.0
-    return FrameSet(frames=q, seed=seed)
+    return FrameSet(frames=q)
 
 
 def alignment_angle(r_i: np.ndarray, r_j: np.ndarray) -> float:

@@ -22,6 +22,9 @@ class TestObservationGraph:
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError):
             make_graph(3, [(0, 1, 0.0), (0, 1, 1.0)])
+        # the repeated pair is not adjacent in input order
+        with pytest.raises(ValueError, match="duplicate edges"):
+            make_graph(4, [(1, 3, 0.0), (0, 2, 0.5), (0, 1, 1.0), (1, 3, 1.5)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -137,6 +140,13 @@ class TestCleanGraph:
         p = (1 - 0.95) / 2
         sigma = np.sqrt(pairs * p * (1 - p))
         assert abs(g.n_edges - pairs * p) < 3 * sigma
+
+    def test_edges_sorted_across_row_blocks(self):
+        # 1500 frames span three row blocks of clean_graph
+        g = graphs.clean_graph(so3.sample_uniform(5, 1500), 0.9)
+        keys = g.edge_i * g.n_vertices + g.edge_j
+        assert np.all(np.diff(keys) > 0)
+        assert g.edge_i[-1] > 1024
 
     def test_tight_threshold_empties_graph(self):
         fs = so3.sample_uniform(2, 100)

@@ -181,15 +181,16 @@ class TestRidDistance:
             imaging.rid_distance(a, b)
 
 
-def _reference_distances(images, n_theta=imaging.DEFAULT_N_THETA):
+def _reference_distances(images):
     """Pairwise distances and alignment angles from a per-row elementwise
     cross-power sum: the alignment loop image_graph used before its
     batched kernel."""
     n = len(images)
+    n_theta = imaging.N_THETA
     ffts, weights = [], []
     radii = None
     for img in images:
-        polar, radii = imaging.polar_resample(img, n_theta)
+        polar, radii = imaging.polar_resample(img)
         ffts.append(np.fft.rfft(polar, axis=1))
         weights.append(float(np.sum(radii[:, None] * polar**2)))
     ffts = np.array(ffts)
@@ -211,27 +212,13 @@ def _reference_distances(images, n_theta=imaging.DEFAULT_N_THETA):
     return dist + dist.T, theta
 
 
-def _reference_image_graph(images, epsilon=None, top_k=None, edge_fraction=None):
-    """image_graph's edge rules over the reference distances, with the
-    pair-index dictionary of the top_k rule."""
+def _reference_image_graph(images, edge_fraction):
+    """image_graph's quantile rule over the reference distances."""
     n = len(images)
     dist, theta = _reference_distances(images)
     iu, ju = np.triu_indices(n, k=1)
     flat = dist[iu, ju]
-    if edge_fraction is not None:
-        epsilon = float(np.quantile(flat, edge_fraction))
-    if epsilon is not None:
-        mask = flat <= epsilon
-    else:
-        mask = np.zeros(flat.size, dtype=bool)
-        order = np.argsort(dist + np.where(np.eye(n) > 0, np.inf, 0.0), axis=1)
-        pair_index = {}
-        for p, (a, b) in enumerate(zip(iu, ju)):
-            pair_index[(int(a), int(b))] = p
-        for i in range(n):
-            for j in order[i, :top_k]:
-                a, b = (i, int(j)) if i < j else (int(j), i)
-                mask[pair_index[(a, b)]] = True
+    mask = flat <= np.quantile(flat, edge_fraction)
     ei, ej = iu[mask], ju[mask]
     return graphs.ObservationGraph(
         n_vertices=n,
@@ -250,18 +237,6 @@ def setup(phantom):
 
 
 class TestImageGraph:
-    def test_requires_exactly_one_rule(self, setup):
-        _, imgs = setup
-        with pytest.raises(ValueError):
-            imaging.image_graph(imgs)
-        with pytest.raises(ValueError):
-            imaging.image_graph(imgs, epsilon=1.0, top_k=3)
-
-    def test_top_k_degree_floor(self, setup):
-        _, imgs = setup
-        g = imaging.image_graph(imgs, top_k=4)
-        assert np.all(graphs.degrees(g) >= 4)
-
     def test_edge_fraction_calibration(self, setup):
         _, imgs = setup
         g = imaging.image_graph(imgs, edge_fraction=0.1)
@@ -279,7 +254,7 @@ class TestImageGraph:
 
     def test_edges_match_pairwise_distance(self, setup):
         _, imgs = setup
-        g = imaging.image_graph(imgs, epsilon=np.inf)
+        g = imaging.image_graph(imgs, edge_fraction=1.0)
         assert g.n_edges == 80 * 79 // 2
         dist, _ = _reference_distances(imgs)
         for e, (i, j) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist())):
@@ -287,13 +262,10 @@ class TestImageGraph:
             assert theta == g.theta[e]
             assert np.isclose(d, dist[i, j], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize(
-        "rule", [{"edge_fraction": 0.1}, {"epsilon": 3.5}, {"top_k": 4}]
-    )
-    def test_matches_per_row_reference(self, setup, rule):
+    def test_matches_per_row_reference(self, setup):
         _, imgs = setup
-        ref = _reference_image_graph(imgs, **rule)
-        g = imaging.image_graph(imgs, **rule)
+        ref = _reference_image_graph(imgs, 0.1)
+        g = imaging.image_graph(imgs, edge_fraction=0.1)
         assert ref.n_edges > 0
         assert np.array_equal(g.edge_i, ref.edge_i)
         assert np.array_equal(g.edge_j, ref.edge_j)
@@ -304,14 +276,13 @@ class TestImageGraph:
         # 79 rows hold pairs: blocks of 5 leave a 4-row last block, blocks
         # of 6 a one-row last block
         _, imgs = setup
-        per_row = 80 * (imaging.DEFAULT_N_THETA // 2 + 1)
+        per_row = 80 * (imaging.N_THETA // 2 + 1)
         monkeypatch.setattr(imaging, "ALIGN_BUDGET", rows * per_row)
-        for rule in ({"edge_fraction": 0.1}, {"top_k": 4}):
-            ref = _reference_image_graph(imgs, **rule)
-            g = imaging.image_graph(imgs, **rule)
-            assert np.array_equal(g.edge_i, ref.edge_i)
-            assert np.array_equal(g.edge_j, ref.edge_j)
-            assert np.array_equal(g.theta, ref.theta)
+        ref = _reference_image_graph(imgs, 0.1)
+        g = imaging.image_graph(imgs, edge_fraction=0.1)
+        assert np.array_equal(g.edge_i, ref.edge_i)
+        assert np.array_equal(g.edge_j, ref.edge_j)
+        assert np.array_equal(g.theta, ref.theta)
 
     def test_memory_is_row_blocked(self, phantom):
         # the per-row loop with n x n distance and angle arrays peaks at
@@ -335,7 +306,7 @@ class TestImageGraph:
     def test_rejects_single_image(self, setup):
         _, imgs = setup
         with pytest.raises(ValueError):
-            imaging.image_graph(imgs[:1], epsilon=1.0)
+            imaging.image_graph(imgs[:1], edge_fraction=0.5)
 
 
 class TestSaveLoad:
