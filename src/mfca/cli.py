@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -301,15 +302,50 @@ def cmd_images(args) -> int:
     return 0
 
 
+def _read_neighbors(path, n: int) -> np.ndarray:
+    """The (n, K) neighbour array of a neighbors.csv written for n frames.
+
+    Every frame must have one row for each rank 0..K-1, and every index
+    must name one of the n frames; anything else raises ValueError naming
+    the file.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=(0, 1, 2), dtype=np.int64,
+                ndmin=2,
+            )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if rows.shape[0] == 0:
+        raise ValueError(f"{path}: no neighbour rows")
+    i, rank, j = rows.T
+    for name, col in (("i", i), ("j", j)):
+        if col.min() < 0 or col.max() >= n:
+            bad = col.min() if col.min() < 0 else col.max()
+            raise ValueError(f"{path}: {name} = {bad} is out of range for {n} frames")
+    if rank.min() < 0:
+        raise ValueError(f"{path}: negative rank {rank.min()}")
+    K = int(rank.max()) + 1
+    counts = np.bincount(i * K + rank, minlength=n * K)
+    for bad, what in ((counts == 0, "no row"), (counts > 1, "more than one row")):
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(
+                f"{path}: {what} for (i, rank) = ({first // K}, {first % K}); "
+                f"expected one row per rank 0..{K - 1} for each of the {n} frames"
+            )
+    nb = np.empty((n, K), dtype=np.int64)
+    nb[i, rank] = j
+    return nb
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     frames = FrameSet.from_csv(args.frames)
-    rows = np.loadtxt(args.neighbors, delimiter=",", skiprows=1, ndmin=2)
-    n = int(rows[:, 0].max()) + 1
-    K = int(rows[:, 1].max()) + 1
-    nb = np.zeros((n, K), dtype=np.int64)
-    nb[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2].astype(int)
+    nb = _read_neighbors(args.neighbors, len(frames))
     metrics = pipeline.evaluate_neighbors(frames, nb)
     with open(out / "metrics.json", "w") as fh:
         json.dump({"config": cfg.hash(), "methods": {"input": metrics}}, fh, indent=1)

@@ -91,8 +91,14 @@ class ObservationGraph:
         if np.any(kind < 0):
             raise ValueError(_bad_row_message(path) or f"{path}: unknown edge kind")
         ej = rows["j"].copy()
+        spanned = int(max(rows["i"].max(), ej.max())) + 1 if ej.size else 0
         if n_vertices is None:
-            n_vertices = int(ej.max()) + 1 if ej.size else 0
+            n_vertices = spanned
+        elif spanned > n_vertices:
+            raise ValueError(
+                f"{path}: the graph spans {spanned} vertices, "
+                f"more than the {n_vertices} given"
+            )
         return cls(
             n_vertices=n_vertices,
             edge_i=rows["i"].copy(),

@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .graphs import ObservationGraph
 
@@ -143,20 +142,50 @@ def add_noise(image: Image, snr: float, seed: int) -> Image:
     return Image(pixels=image.pixels + noise, extent=image.extent)
 
 
-def polar_resample(image: Image) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear resampling onto an (L // 2, N_THETA) polar grid.
+def _shared_grid(images: list) -> tuple[int, float]:
+    """The side length and extent that every image shares."""
+    size, extent = images[0].size, images[0].extent
+    if any(img.size != size for img in images):
+        raise ValueError("image dimensions differ")
+    if any(img.extent != extent for img in images):
+        raise ValueError(
+            "image extents differ: a polar grid spans one extent, "
+            f"but the images span {sorted({img.extent for img in images})}"
+        )
+    return size, extent
 
-    Returns (polar, radii); radii serve as area weights in distances.
+
+def polar_resample(images: list) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear resampling of equal-size images onto one (L // 2, N_THETA)
+    polar grid, as a single gather over the stacked pixels.
+
+    Returns (polar, radii) with polar of shape (n, L // 2, N_THETA); radii
+    serve as area weights in distances.  The corner weights are computed
+    once per grid, and each sample sums (pixel * wa) * wb over the corners
+    (a0, b0), (a0, b0+1), (a0+1, b0), (a0+1, b0+1) from 0.0, the arithmetic
+    and order of map_coordinates(order=1), so the samples agree bit for bit.
+    For odd L every sample lies in [0.5, L - 1.5], so no corner leaves the
+    image.
     """
-    L, extent = image.size, image.extent
+    L, extent = _shared_grid(images)
     n_r = L // 2
     radii = (np.arange(n_r) + 0.5) * extent / n_r
     angles = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     x = radii[:, None] * np.cos(angles)[None, :]
     y = radii[:, None] * np.sin(angles)[None, :]
     step = 2.0 * extent / (L - 1)
-    coords = np.stack([(x + extent) / step, (y + extent) / step])
-    polar = map_coordinates(image.pixels, coords, order=1, mode="constant", cval=0.0)
+    ca, cb = (x + extent) / step, (y + extent) / step
+    a0, b0 = np.floor(ca), np.floor(cb)
+    wa1, wb1 = ca - a0, cb - b0
+    wa0, wb0 = 1.0 - wa1, 1.0 - wb1
+    flat = a0.astype(np.intp) * L + b0.astype(np.intp)
+    pixels = np.stack([img.pixels for img in images]).reshape(len(images), L * L)
+    polar = np.zeros((len(images), n_r, N_THETA))
+    for offset, wa, wb in ((0, wa0, wb0), (1, wa0, wb1), (L, wa1, wb0), (L + 1, wa1, wb1)):
+        corner = pixels[:, flat + offset]
+        corner *= wa
+        corner *= wb
+        polar += corner
     return polar, radii
 
 
@@ -166,18 +195,20 @@ def _spectra(images: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     S[m, :, i] is the conjugate of image i's m-th angular Fourier
     coefficient at every radius, stored so that each frequency's
-    cross-powers are one matrix product.
+    cross-powers are one matrix product.  Images are resampled and
+    transformed in chunks of about ALIGN_BUDGET polar samples.
     """
-    size = images[0].size
-    if any(img.size != size for img in images):
-        raise ValueError("image dimensions differ")
+    L, _ = _shared_grid(images)
+    n_r = L // 2
+    chunk = max(1, ALIGN_BUDGET // (n_r * N_THETA))
+    spectra = np.empty((N_THETA // 2 + 1, n_r, len(images)), dtype=complex)
     weights = np.empty(len(images))
-    for idx, img in enumerate(images):
-        polar, radii = polar_resample(img)
-        if idx == 0:
-            spectra = np.empty((N_THETA // 2 + 1, radii.size, len(images)), dtype=complex)
-        spectra[:, :, idx] = np.conj(np.fft.rfft(polar, axis=1)).T
-        weights[idx] = np.sum(radii[:, None] * polar**2)
+    for lo in range(0, len(images), chunk):
+        polar, radii = polar_resample(images[lo : lo + chunk])
+        spectra[:, :, lo : lo + chunk] = np.conj(np.fft.rfft(polar, axis=-1)).T
+        for idx, p in enumerate(polar, start=lo):
+            # one sum per image; a row-wise sum over the chunk rounds differently
+            weights[idx] = np.sum(radii[:, None] * p**2)
     return spectra, radii, weights
 
 

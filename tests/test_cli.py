@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfca
 from mfca import cli, csvio, graphs, pipeline, so3, spectral, wigner
 
 
@@ -380,6 +385,114 @@ class TestRun:
         got = json.loads((eval_out / "metrics.json").read_text())
         ref = json.loads((run_out / "metrics.json").read_text())
         assert got["methods"]["input"] == ref["methods"]["A^All"]
+
+
+@pytest.fixture(scope="module")
+def run_dir(sim_dir):
+    """A run on sim_dir's clean graph: 200 frames, 5 neighbours each."""
+    tmp, cfg, sim = sim_dir
+    out = tmp / "run_for_eval"
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+    assert cli.main(argv + ["--graph", str(sim / "graph_p1.csv"), "--out", str(out)]) == 0
+    return out
+
+
+class TestEvalInput:
+    """eval rejects a neighbors.csv that does not fit the frames, naming
+    the file and the cause."""
+
+    @staticmethod
+    def evaluate(sim_dir, neighbors, frames=None):
+        tmp, cfg, sim = sim_dir
+        argv = ["eval", "--config", cfg, "--frames", str(frames or sim / "frames.csv")]
+        argv += ["--neighbors", str(neighbors), "--out", str(neighbors.parent / "ev")]
+        return cli.main(argv)
+
+    @staticmethod
+    def rewrite(run_dir, tmp_path, edit):
+        """neighbors.csv with its data lines (after the header and the
+        config line) passed through edit."""
+        lines = (run_dir / "neighbors.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "neighbors.csv"
+        path.write_text("".join(lines[:2] + edit(lines[2:])))
+        return path
+
+    def error(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_more_vertices_than_frames(self, sim_dir, run_dir, tmp_path, capsys):
+        frames = so3.FrameSet.from_csv(sim_dir[2] / "frames.csv")
+        few = tmp_path / "frames60.csv"
+        with open(few, "w") as fh:
+            so3.FrameSet(frames=frames.frames[:60]).write_csv(fh)
+        path = run_dir / "neighbors.csv"
+        assert self.evaluate(sim_dir, path, frames=few) == 1
+        assert "i = 199 is out of range for 60 frames" in self.error(capsys, path)
+
+    def test_neighbour_beyond_frames(self, sim_dir, run_dir, tmp_path, capsys):
+        def edit(rows):
+            i, rank, _, rest = rows[7].split(",", 3)
+            return rows[:7] + [f"{i},{rank},200,{rest}"] + rows[8:]
+
+        path = self.rewrite(run_dir, tmp_path, edit)
+        assert self.evaluate(sim_dir, path) == 1
+        assert "j = 200 is out of range for 200 frames" in self.error(capsys, path)
+
+    def test_truncated(self, sim_dir, run_dir, tmp_path, capsys):
+        path = self.rewrite(run_dir, tmp_path, lambda rows: rows[: len(rows) // 2])
+        assert self.evaluate(sim_dir, path) == 1
+        assert "no row for (i, rank) = (100, 0)" in self.error(capsys, path)
+
+    def test_header_only(self, sim_dir, run_dir, tmp_path, capsys):
+        path = self.rewrite(run_dir, tmp_path, lambda rows: [])
+        assert self.evaluate(sim_dir, path) == 1
+        assert "no neighbour rows" in self.error(capsys, path)
+
+    def test_missing_rows_in_the_middle(self, sim_dir, run_dir, tmp_path, capsys):
+        # rows (57, 2) and (57, 3); the rest still spans all 200 frames
+        path = self.rewrite(run_dir, tmp_path, lambda rows: rows[:287] + rows[289:])
+        assert self.evaluate(sim_dir, path) == 1
+        err = self.error(capsys, path)
+        assert "no row for (i, rank) = (57, 2)" in err
+        assert "one row per rank 0..4 for each of the 200 frames" in err
+
+    def test_duplicate_row(self, sim_dir, run_dir, tmp_path, capsys):
+        path = self.rewrite(run_dir, tmp_path, lambda rows: rows + rows[11:12])
+        assert self.evaluate(sim_dir, path) == 1
+        assert "more than one row for (i, rank) = (2, 1)" in self.error(capsys, path)
+
+    def test_non_integer_index(self, sim_dir, run_dir, tmp_path, capsys):
+        path = self.rewrite(run_dir, tmp_path, lambda rows: ["0.5" + rows[0][1:], *rows[1:]])
+        assert self.evaluate(sim_dir, path) == 1
+        self.error(capsys, path)
+
+
+def test_run_names_graph_larger_than_frames(sim_dir, tmp_path, capsys):
+    tmp, cfg, sim = sim_dir
+    frames = so3.FrameSet.from_csv(sim / "frames.csv")
+    few = tmp_path / "frames60.csv"
+    with open(few, "w") as fh:
+        so3.FrameSet(frames=frames.frames[:60]).write_csv(fh)
+    graph = sim / "graph_p1.csv"
+    spanned = graphs.ObservationGraph.from_csv(graph).n_vertices
+    argv = ["run", "--config", cfg, "--frames", str(few), "--graph", str(graph)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {graph}: the graph spans {spanned} vertices, more than the 60 given\n"
+    )
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # start-up cost: every mfca process imports the CLI
+    src = str(Path(mfca.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, mfca.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestImages:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from mfca import graphs, imaging, so3
 
@@ -13,6 +14,22 @@ def phantom():
 
 def haar(seed, n=1):
     return so3.sample_uniform(seed, n).frames
+
+
+def reference_polar(image):
+    """Independent oracle: one image's polar samples from scipy's bilinear
+    map_coordinates, the per-image resampler image_graph used before its
+    batched gather."""
+    L, extent = image.size, image.extent
+    n_r = L // 2
+    radii = (np.arange(n_r) + 0.5) * extent / n_r
+    angles = 2.0 * np.pi * np.arange(imaging.N_THETA) / imaging.N_THETA
+    x = radii[:, None] * np.cos(angles)[None, :]
+    y = radii[:, None] * np.sin(angles)[None, :]
+    step = 2.0 * extent / (L - 1)
+    coords = np.stack([(x + extent) / step, (y + extent) / step])
+    polar = map_coordinates(image.pixels, coords, order=1, mode="constant", cval=0.0)
+    return polar, radii
 
 
 def midpoint_line_integral(phantom, r, s, t, n_steps=4000, span=3.0):
@@ -129,16 +146,52 @@ class TestAddNoise:
 class TestPolarResample:
     def test_shapes(self, phantom):
         img = imaging.project(phantom, np.eye(3), L=65)
-        polar, radii = imaging.polar_resample(img)
-        assert polar.shape == (32, 360)
+        polar, radii = imaging.polar_resample([img])
+        assert polar.shape == (1, 32, 360)
         assert radii.shape == (32,)
         assert np.all(np.diff(radii) > 0)
 
     def test_radially_symmetric_image(self):
         p = imaging.Phantom(blobs=(((0.0, 0.0, 0.0), 0.25, 1.0),))
         img = imaging.project(p, np.eye(3), L=129)
-        polar, _ = imaging.polar_resample(img)
-        assert np.max(np.std(polar, axis=1)) < 2e-4
+        polar, _ = imaging.polar_resample([img])
+        assert np.max(np.std(polar[0], axis=1)) < 2e-4
+
+    @pytest.mark.parametrize("extent", [1.0, 2.5])
+    @pytest.mark.parametrize("L", [3, 5, 33, 65])
+    def test_matches_map_coordinates(self, phantom, L, extent):
+        imgs = [
+            imaging.add_noise(imaging.project(phantom, r, L=L, extent=extent), 4.0, s)
+            for s, r in enumerate(haar(30, 5))
+        ]
+        polar, radii = imaging.polar_resample(imgs)
+        for img, got in zip(imgs, polar):
+            ref, ref_radii = reference_polar(img)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(radii, ref_radii)
+
+    def test_negative_zero_pixels_sample_as_zero(self):
+        # map_coordinates sums the corners from 0.0, so -0.0 pixels give +0.0
+        img = imaging.Image(pixels=np.full((9, 9), -0.0))
+        polar, _ = imaging.polar_resample([img])
+        ref, _ = reference_polar(img)
+        assert np.array_equal(np.signbit(polar[0]), np.signbit(ref))
+        assert not np.any(np.signbit(polar))
+
+    @pytest.mark.parametrize("L", [3, 33, 65])
+    def test_spectra_chunks_match_per_image_reference(self, phantom, monkeypatch, L):
+        # chunks of 3 images over 7 leave a one-image last chunk
+        imgs = [
+            imaging.add_noise(imaging.project(phantom, r, L=L), 8.0, s)
+            for s, r in enumerate(haar(31, 7))
+        ]
+        monkeypatch.setattr(imaging, "ALIGN_BUDGET", 3 * (L // 2) * imaging.N_THETA)
+        spectra, radii, weights = imaging._spectra(imgs)
+        for idx, img in enumerate(imgs):
+            ref, ref_radii = reference_polar(img)
+            assert np.array_equal(radii, ref_radii)
+            assert np.array_equal(spectra[:, :, idx], np.conj(np.fft.rfft(ref, axis=1)).T)
+            assert weights[idx] == np.sum(ref_radii[:, None] * ref**2)
 
 
 class TestRidDistance:
@@ -180,6 +233,15 @@ class TestRidDistance:
         with pytest.raises(ValueError):
             imaging.rid_distance(a, b)
 
+    def test_rejects_extent_mismatch(self, phantom):
+        # one projection at two extents: the polar grid of either would
+        # sample the other at the wrong radii
+        a = imaging.project(phantom, np.eye(3), L=33, extent=1.0)
+        b = imaging.project(phantom, np.eye(3), L=33, extent=2.0)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=r"image extents differ.*\[1\.0, 2\.0\]"):
+                imaging.rid_distance(*pair)
+
 
 def _reference_distances(images):
     """Pairwise distances and alignment angles from a per-row elementwise
@@ -190,7 +252,7 @@ def _reference_distances(images):
     ffts, weights = [], []
     radii = None
     for img in images:
-        polar, radii = imaging.polar_resample(img)
+        polar, radii = reference_polar(img)
         ffts.append(np.fft.rfft(polar, axis=1))
         weights.append(float(np.sum(radii[:, None] * polar**2)))
     ffts = np.array(ffts)
@@ -302,6 +364,14 @@ class TestImageGraph:
         _, imgs = setup
         with pytest.raises(ValueError, match="edge_fraction"):
             imaging.image_graph(imgs, edge_fraction=frac)
+
+    def test_rejects_extent_mismatch_across_chunks(self, setup, monkeypatch):
+        # chunks of one image each, so no single chunk holds both extents
+        _, imgs = setup
+        monkeypatch.setattr(imaging, "ALIGN_BUDGET", 1)
+        other = imaging.Image(pixels=imgs[-1].pixels, extent=2.0)
+        with pytest.raises(ValueError, match="image extents differ"):
+            imaging.image_graph(imgs[:-1] + [other], edge_fraction=0.5)
 
     def test_rejects_single_image(self, setup):
         _, imgs = setup
