@@ -130,7 +130,9 @@ def _parse_h_spec(spec: str) -> list:
         if step <= 0 or stop < start:
             raise ValueError("invalid h range")
         n = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(n) if start + i * step <= stop + 1e-12]
+        hs = (start + i * step for i in range(n))
+        # a point that rounds past stop is stop: 0.18 + 26 * 0.07 > 2.0
+        return [min(h, stop) for h in hs if h <= stop + 1e-12]
     return [float(x) for x in spec.split(",") if x]
 
 
@@ -138,7 +140,13 @@ def cmd_theory(args) -> int:
     ks = [int(x) for x in args.k.split(",") if x]
     hs = _parse_h_spec(args.h)
     if not ks or not hs:
-        raise SystemExit(2)
+        raise ValueError(f"--k {args.k!r} and --h {args.h!r} must each list a value")
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"--k: frequency {k} is below 1")
+    for h in hs:
+        if not 0.0 < h <= 2.0:  # NaN fails too
+            raise ValueError(f"--h: bandwidth {h:g} lies outside (0, 2]")
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     tag = f"# config={cfg.hash()}\n"
@@ -272,19 +280,16 @@ def cmd_images(args) -> int:
         frames.write_csv(fh)
         fh.write(f"# config={cfg.hash()}\n")
     phantom = imaging.default_phantom()
-    clean = [
-        imaging.project(phantom, r, L=cfg.image_size) for r in frames.frames
-    ]
+    clean = imaging.project(phantom, frames.frames, L=cfg.image_size)
     geometric_keys = geometric.edge_i * n + geometric.edge_j
     snrs = cfg.snr_values or (float("inf"),)
     for snr in snrs:
         if np.isinf(snr):
             imgs, label = clean, "inf"
         else:
-            imgs = [
-                imaging.add_noise(img, snr, cfg.seed + 10 + idx)
-                for idx, img in enumerate(clean)
-            ]
+            imgs = np.empty_like(clean)
+            for idx, img in enumerate(clean):
+                imgs[idx] = imaging.add_noise(img, snr, cfg.seed + 10 + idx)
             label = f"{snr:g}"
         imaging.save_images(out / f"images_snr{label}.bin", imgs)
         with open(out / f"images_snr{label}.csv", "w") as fh:

@@ -3,8 +3,10 @@ of a sum-of-Gaussians density, additive noise at a target SNR, rotationally
 invariant distances with in-plane alignment estimation, and construction of
 an observation graph from images alone.
 
-Pixel convention: pixels[a, b] = I(s_a, t_b) with s, t running over a uniform
-grid on [-extent, extent] (axis 0 is the first in-plane coordinate).
+An image stack is one float64 (n, L, L) array with L odd, so a center pixel
+exists.  Pixel convention: pixels[a, b] = I(s_a, t_b) with s, t running over
+a uniform grid on [-EXTENT, EXTENT] = [-1, 1] (axis 0 is the first in-plane
+coordinate).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .graphs import ObservationGraph
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
-DEFAULT_EXTENT = 1.0
+EXTENT = 1.0  # every image spans [-EXTENT, EXTENT]^2
 N_THETA = 360  # angles of the polar grid, which sets the alignment resolution
 ALIGN_BUDGET = 2**20  # complex cross-power entries per row block of image_graph
 
@@ -79,38 +81,21 @@ def default_phantom() -> Phantom:
     return Phantom(blobs=_DEFAULT_BLOBS)
 
 
-@dataclass(frozen=True)
-class Image:
-    """An L x L pixel grid spanning [-extent, extent]^2; L is odd so a center
-    pixel exists."""
-
-    pixels: np.ndarray
-    extent: float = DEFAULT_EXTENT
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("pixels must be square")
-        if p.shape[0] % 2 == 0:
-            raise ValueError("image side length must be odd")
-        object.__setattr__(self, "pixels", p)
-
-    @property
-    def size(self) -> int:
-        return self.pixels.shape[0]
+def _stack(images) -> np.ndarray:
+    """images as one float64 (n, L, L) array of square images with odd L,
+    the one shape that polar_resample, _spectra, image_graph and
+    rid_distance accept; anything else raises a ValueError naming it."""
+    stack = np.asarray(images, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] % 2 == 0:
+        raise ValueError(
+            f"images must form an (n, L, L) array with odd L, got shape {stack.shape}"
+        )
+    return stack
 
 
-def _grid(L: int, extent: float) -> np.ndarray:
-    return np.linspace(-extent, extent, L)
-
-
-def project(
-    phantom: Phantom,
-    r: np.ndarray,
-    L: int = DEFAULT_L,
-    extent: float = DEFAULT_EXTENT,
-) -> Image:
-    """Line-integral projection along the viewing direction of r.
+def project(phantom: Phantom, r: np.ndarray, L: int = DEFAULT_L) -> np.ndarray:
+    """Line-integral projections along the viewing directions of r, a
+    (..., 3, 3) array of frames; returns (..., L, L) pixels.
 
     Each isotropic Gaussian blob integrates in closed form to
     amplitude * sigma * sqrt(2*pi) * exp(-((s-u)^2 + (t-v)^2) / (2 sigma^2))
@@ -120,44 +105,32 @@ def project(
     if L % 2 == 0:
         raise ValueError("L must be odd")
     r = np.asarray(r, dtype=float)
-    s = _grid(L, extent)
-    pixels = np.zeros((L, L))
+    s = np.linspace(-EXTENT, EXTENT, L)
+    pixels = np.zeros(r.shape[:-2] + (L, L))
     for c, sigma, amp in phantom.blobs:
-        u = float(c @ r[:, 0])
-        v = float(c @ r[:, 1])
-        gs = np.exp(-((s - u) ** 2) / (2.0 * sigma * sigma))
-        gt = np.exp(-((s - v) ** 2) / (2.0 * sigma * sigma))
-        pixels += amp * sigma * np.sqrt(2.0 * np.pi) * np.outer(gs, gt)
-    return Image(pixels=pixels, extent=extent)
+        # rounds as the per-frame c @ r[:, 0] does; einsum or r[..., 0].T do not
+        uv = c @ r[..., :2]
+        gs = np.exp(-((s - uv[..., :1]) ** 2) / (2.0 * sigma * sigma))
+        gt = np.exp(-((s - uv[..., 1:]) ** 2) / (2.0 * sigma * sigma))
+        pixels += amp * sigma * np.sqrt(2.0 * np.pi) * (gs[..., :, None] * gt[..., None, :])
+    return pixels
 
 
-def add_noise(image: Image, snr: float, seed: int) -> Image:
+def add_noise(pixels: np.ndarray, snr: float, seed: int) -> np.ndarray:
     """Additive white Gaussian noise with variance var(clean pixels)/snr,
     measured over the full grid."""
     if snr <= 0:
         raise ValueError("snr must be positive")
+    pixels = np.asarray(pixels, dtype=float)
     rng = np.random.default_rng(seed)
-    var = float(np.var(image.pixels))
-    noise = rng.standard_normal(image.pixels.shape) * np.sqrt(var / snr)
-    return Image(pixels=image.pixels + noise, extent=image.extent)
+    var = float(np.var(pixels))
+    noise = rng.standard_normal(pixels.shape) * np.sqrt(var / snr)
+    return pixels + noise
 
 
-def _shared_grid(images: list) -> tuple[int, float]:
-    """The side length and extent that every image shares."""
-    size, extent = images[0].size, images[0].extent
-    if any(img.size != size for img in images):
-        raise ValueError("image dimensions differ")
-    if any(img.extent != extent for img in images):
-        raise ValueError(
-            "image extents differ: a polar grid spans one extent, "
-            f"but the images span {sorted({img.extent for img in images})}"
-        )
-    return size, extent
-
-
-def polar_resample(images: list) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear resampling of equal-size images onto one (L // 2, N_THETA)
-    polar grid, as a single gather over the stacked pixels.
+def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear resampling of an (n, L, L) image stack onto one
+    (L // 2, N_THETA) polar grid, as a single gather over the pixels.
 
     Returns (polar, radii) with polar of shape (n, L // 2, N_THETA); radii
     serve as area weights in distances.  The corner weights are computed
@@ -167,20 +140,21 @@ def polar_resample(images: list) -> tuple[np.ndarray, np.ndarray]:
     For odd L every sample lies in [0.5, L - 1.5], so no corner leaves the
     image.
     """
-    L, extent = _shared_grid(images)
+    images = _stack(images)
+    n, L = images.shape[:2]
     n_r = L // 2
-    radii = (np.arange(n_r) + 0.5) * extent / n_r
+    radii = (np.arange(n_r) + 0.5) * EXTENT / n_r
     angles = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     x = radii[:, None] * np.cos(angles)[None, :]
     y = radii[:, None] * np.sin(angles)[None, :]
-    step = 2.0 * extent / (L - 1)
-    ca, cb = (x + extent) / step, (y + extent) / step
+    step = 2.0 * EXTENT / (L - 1)
+    ca, cb = (x + EXTENT) / step, (y + EXTENT) / step
     a0, b0 = np.floor(ca), np.floor(cb)
     wa1, wb1 = ca - a0, cb - b0
     wa0, wb0 = 1.0 - wa1, 1.0 - wb1
     flat = a0.astype(np.intp) * L + b0.astype(np.intp)
-    pixels = np.stack([img.pixels for img in images]).reshape(len(images), L * L)
-    polar = np.zeros((len(images), n_r, N_THETA))
+    pixels = images.reshape(n, L * L)
+    polar = np.zeros((n, n_r, N_THETA))
     for offset, wa, wb in ((0, wa0, wb0), (1, wa0, wb1), (L, wa1, wb0), (L + 1, wa1, wb1)):
         corner = pixels[:, flat + offset]
         corner *= wa
@@ -189,7 +163,7 @@ def polar_resample(images: list) -> tuple[np.ndarray, np.ndarray]:
     return polar, radii
 
 
-def _spectra(images: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectra(images) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conjugated angular spectra S of shape (N_THETA//2+1, n_r, n), the
     radii, and the radially weighted energies of the polar images.
 
@@ -198,8 +172,8 @@ def _spectra(images: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cross-powers are one matrix product.  Images are resampled and
     transformed in chunks of about ALIGN_BUDGET polar samples.
     """
-    L, _ = _shared_grid(images)
-    n_r = L // 2
+    images = _stack(images)
+    n_r = images.shape[1] // 2
     chunk = max(1, ALIGN_BUDGET // (n_r * N_THETA))
     spectra = np.empty((N_THETA // 2 + 1, n_r, len(images)), dtype=complex)
     weights = np.empty(len(images))
@@ -230,8 +204,9 @@ def _align_rows(
     return np.sqrt(d2), shifts
 
 
-def rid_distance(img_i: Image, img_j: Image) -> tuple[float, float]:
-    """Rotationally invariant distance and the optimal alignment angle.
+def rid_distance(img_i: np.ndarray, img_j: np.ndarray) -> tuple[float, float]:
+    """Rotationally invariant distance and the optimal alignment angle of
+    two (L, L) images.
 
     Both images are resampled to the same polar grid; rotation becomes a
     cyclic shift along the angular axis and the best shift is found through
@@ -243,7 +218,7 @@ def rid_distance(img_i: Image, img_j: Image) -> tuple[float, float]:
     return float(dist[0, 0]), 2.0 * np.pi * int(shifts[0, 0]) / N_THETA
 
 
-def image_graph(images: list, edge_fraction: float) -> ObservationGraph:
+def image_graph(images, edge_fraction: float) -> ObservationGraph:
     """Build an observation graph from pairwise rotationally invariant
     distances; edges carry the estimated alignment angles.
 
@@ -253,6 +228,7 @@ def image_graph(images: list, edge_fraction: float) -> ObservationGraph:
     shifts go straight into row-major upper-triangle vectors, so no n x n
     matrix is built.
     """
+    images = _stack(images)
     n = len(images)
     if n < 2:
         raise ValueError("need at least 2 images")
@@ -286,29 +262,35 @@ def image_graph(images: list, edge_fraction: float) -> ObservationGraph:
     )
 
 
-def save_images(path, images: list) -> None:
+def save_images(path, images) -> None:
     """Flat binary: per image an 8-byte little-endian header (two uint32
     dims) followed by row-major float64 pixels."""
     with open(path, "wb") as fh:
-        for img in images:
-            h, w = img.pixels.shape
-            fh.write(struct.pack("<II", h, w))
-            fh.write(img.pixels.astype("<f8").tobytes())
+        for img in _stack(images):
+            fh.write(struct.pack("<II", *img.shape))
+            fh.write(img.astype("<f8").tobytes())
 
 
-def load_images(path) -> list:
+def load_images(path) -> np.ndarray:
+    """The (n, L, L) stack that save_images wrote.  A truncated file, or
+    images that are not all one odd square size, raise a ValueError naming
+    the file."""
     images = []
     with open(path, "rb") as fh:
-        while True:
-            header = fh.read(8)
-            if not header:
-                break
+        while header := fh.read(8):
             if len(header) != 8:
-                raise ValueError("truncated image header")
+                raise ValueError(f"{path}: truncated image header")
             h, w = struct.unpack("<II", header)
+            L = images[0].shape[0] if images else h
+            if h != w or h % 2 == 0 or h != L:
+                raise ValueError(
+                    f"{path}: image {len(images)} is {h}x{w}, but the images must "
+                    f"all be {L}x{L} with {L} odd"
+                )
             raw = fh.read(8 * h * w)
             if len(raw) != 8 * h * w:
-                raise ValueError("truncated image payload")
-            pixels = np.frombuffer(raw, dtype="<f8").reshape(h, w)
-            images.append(Image(pixels=pixels.copy()))
-    return images
+                raise ValueError(f"{path}: truncated image payload")
+            images.append(np.frombuffer(raw, dtype="<f8").reshape(h, w))
+    if not images:
+        raise ValueError(f"{path}: no images")
+    return np.array(images, dtype=float)

@@ -39,12 +39,18 @@ def wrap_angle(a):
     return np.mod(a, TWO_PI)
 
 
+def _not_rotations(r: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
+    """Mask over a (..., 3, 3) stack: True where max |R^T R - I| or
+    |det R - 1| exceeds 100 * tol, or is NaN."""
+    ortho = np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # NaN entries give a NaN det, rejected below
+        det = np.abs(np.linalg.det(r) - 1.0)
+    return ~((ortho <= tol * 100) & (det <= tol * 100))
+
+
 def is_rotation(r: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
     r = np.asarray(r)
-    if r.shape != (3, 3):
-        return False
-    ortho = np.max(np.abs(r.T @ r - np.eye(3)))
-    return bool(ortho <= tol * 100 and abs(np.linalg.det(r) - 1.0) <= tol * 100)
+    return r.shape == (3, 3) and not _not_rotations(r, tol)
 
 
 def rot_z(a: float) -> np.ndarray:
@@ -130,10 +136,16 @@ class FrameSet:
 
     @classmethod
     def from_csv(cls, path) -> "FrameSet":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if data.shape[1] != 10:
-            raise ValueError("frame CSV must have 10 columns (index + 9 entries)")
+            raise ValueError(f"{path}: frame CSV must have 10 columns (index + 9 entries)")
         frames = data[:, 1:].reshape(-1, 3, 3)
+        bad = _not_rotations(frames)
+        if bad.any():
+            raise ValueError(f"{path}: row {int(np.argmax(bad))} is not a rotation")
         return cls(frames=frames)
 
 

@@ -108,10 +108,32 @@ class TestTheory:
         rows = [ln for ln in body.splitlines() if ln and not ln.startswith(("k,", "#"))]
         assert len(rows) == 3
 
-    def test_empty_h_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["theory", "--k", "1", "--h", "", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize(
+        "k, h, message",
+        [
+            pytest.param("1", "", "--k '1' and --h '' must each list a value", id="empty-h"),
+            pytest.param("", "0.5", "--k '' and --h '0.5' must each list a value", id="empty-k"),
+            pytest.param("1,0", "0.5", "--k: frequency 0 is below 1", id="k-zero"),
+            pytest.param("2", "0.5,3", "--h: bandwidth 3 lies outside (0, 2]", id="h-above-2"),
+            pytest.param("2", "-0.5", "--h: bandwidth -0.5 lies outside (0, 2]", id="h-negative"),
+            pytest.param("2", "0", "--h: bandwidth 0 lies outside (0, 2]", id="h-zero"),
+            pytest.param("2", "nan", "--h: bandwidth nan lies outside (0, 2]", id="h-nan"),
+        ],
+    )
+    def test_rejects_bad_lists_before_writing(self, tmp_path, capsys, k, h, message):
+        out = tmp_path / "t"
+        assert cli.main(["theory", "--k", k, "--h", h, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["1.5:0.5:2", "0.18:0.07:2.0"])
+    def test_h_range_up_to_two(self, tmp_path, spec):
+        # 0.18 + 26 * 0.07 rounds to 2.0000000000000004; the range stops at 2
+        out = tmp_path / "r"
+        assert cli.main(["theory", "--k", "1", "--h", spec, "--out", str(out)]) == 0
+        last = (out / "gaps.csv").read_text().splitlines()[-1]
+        assert last.split(",")[1] == "2"
 
     def test_config_hash_comment(self, tmp_path):
         out = tmp_path / "h"
@@ -468,6 +490,49 @@ class TestEvalInput:
         path = self.rewrite(run_dir, tmp_path, lambda rows: ["0.5" + rows[0][1:], *rows[1:]])
         assert self.evaluate(sim_dir, path) == 1
         self.error(capsys, path)
+
+
+class TestFramesInput:
+    """run and eval reject a frames.csv that does not hold rotations,
+    naming the file."""
+
+    @staticmethod
+    def frames_with_row(sim_dir, tmp_path, row):
+        lines = (sim_dir[2] / "frames.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "frames.csv"
+        path.write_text("".join(lines[:5] + [row] + lines[6:]))  # data row 4
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize(
+        "row, cause",
+        [
+            pytest.param("4,0,1,2\n", "the number of columns changed from 10 to 4", id="short"),
+            pytest.param("4,0,1,2,3,4,5,6,7,8\n", "row 4 is not a rotation", id="not-orthogonal"),
+            pytest.param("4,1,0,0,0,1,0,0,0,-1\n", "row 4 is not a rotation", id="det-minus-1"),
+            pytest.param("4,1,0,0,0,1,0,0,0,nan\n", "row 4 is not a rotation", id="nan"),
+        ],
+    )
+    def test_bad_row_names_file(self, sim_dir, run_dir, tmp_path, capsys, command, row, cause):
+        tmp, cfg, sim = sim_dir
+        frames = self.frames_with_row(sim_dir, tmp_path, row)
+        argv = [command, "--config", cfg, "--frames", str(frames), "--out", str(tmp_path / "o")]
+        if command == "run":
+            argv += ["--graph", str(sim / "graph_p1.csv")]
+        else:
+            argv += ["--neighbors", str(run_dir / "neighbors.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {frames}: ")
+        assert cause in err
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
+    def test_rotations_to_1e10_are_accepted(self, sim_dir, tmp_path):
+        frames = so3.FrameSet.from_csv(sim_dir[2] / "frames.csv").frames.copy()
+        frames[4, 0, 0] += 4e-11
+        path = tmp_path / "frames.csv"
+        so3.FrameSet(frames=frames).to_csv(path)
+        assert np.array_equal(so3.FrameSet.from_csv(path).frames, frames)
 
 
 def test_run_names_graph_larger_than_frames(sim_dir, tmp_path, capsys):
