@@ -101,6 +101,8 @@ def _fmt(x: float) -> str:
 
 
 def _out_dir(args, config: ExperimentConfig | None) -> Path:
+    """The output directory, created; each command calls this only after
+    its inputs are read and checked, so a failed command leaves none."""
     if getattr(args, "out", None):
         d = Path(args.out)
     elif os.environ.get("MFCA_OUT"):
@@ -256,16 +258,17 @@ def _run_pipeline(
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
     frames = FrameSet.from_csv(args.frames)
     graph = graphs.ObservationGraph.from_csv(args.graph, n_vertices=len(frames))
+    if graph.n_edges == 0:
+        raise ValueError(f"{args.graph}: the graph has no edges")
+    out = _out_dir(args, cfg)
     _run_pipeline(frames, graph, cfg, out)
     return 0
 
 
 def cmd_images(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
     frames = sample_uniform(cfg.seed, cfg.n_frames)
     n = cfg.n_frames
     geometric = graphs.clean_graph(frames, cfg.cos_threshold)
@@ -276,6 +279,7 @@ def cmd_images(args) -> int:
             f"no pair of the {n} frames is that close"
         )
     clean_frac = geometric.n_edges / (n * (n - 1) / 2)
+    out = _out_dir(args, cfg)
     with open(out / "frames.csv", "w") as fh:
         frames.write_csv(fh)
         fh.write(f"# config={cfg.hash()}\n")
@@ -348,10 +352,10 @@ def _read_neighbors(path, n: int) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
     frames = FrameSet.from_csv(args.frames)
     nb = _read_neighbors(args.neighbors, len(frames))
     metrics = pipeline.evaluate_neighbors(frames, nb)
+    out = _out_dir(args, cfg)
     with open(out / "metrics.json", "w") as fh:
         json.dump({"config": cfg.hash(), "methods": {"input": metrics}}, fh, indent=1)
     return 0

@@ -48,22 +48,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @classmethod
-    def from_triplets(cls, n: int, ii, jj, values) -> "HermitianMatrix":
-        """Build from upper-triangle triplets (i <= j); the conjugate mirror
-        is implied."""
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        values = np.asarray(values, dtype=complex)
-        if np.any(ii > jj):
-            raise ValueError("triplets must satisfy i <= j")
-        off = ii != jj
-        rows = np.concatenate([ii, jj[off]])
-        cols = np.concatenate([jj, ii[off]])
-        vals = np.concatenate([values, np.conj(values[off])])
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls(data=m)
-
     def dense(self) -> np.ndarray:
         return self.data.toarray()
 
@@ -83,9 +67,11 @@ class EigenPairs:
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=complex))
 
 
-def _start_vector(h: HermitianMatrix, start_seed: int) -> np.ndarray:
+def _start_vector(h: HermitianMatrix) -> np.ndarray:
+    # the payload ends in eight zero bytes: every seeded output depends on
+    # these exact start vectors
     payload = h.data.indptr.tobytes() + h.data.indices.tobytes() + h.data.data.tobytes()
-    digest = hashlib.sha256(payload + start_seed.to_bytes(8, "little")).digest()
+    digest = hashlib.sha256(payload + bytes(8)).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     v = rng.standard_normal(h.n)
     return v / np.linalg.norm(v)
@@ -102,17 +88,17 @@ def _check_contract(h: HermitianMatrix, values, vectors) -> None:
         )
 
 
-def top_eigenpairs(h: HermitianMatrix, m: int, start_seed: int = 0) -> EigenPairs:
+def top_eigenpairs(h: HermitianMatrix, m: int) -> EigenPairs:
     """The m algebraically largest eigenpairs of h, descending.
 
     Deterministic for fixed input; the iterative path seeds its start vector
-    from a hash of the matrix entries (optionally mixed with start_seed).
+    from a hash of the matrix entries.
     """
     n = h.n
     if not 1 <= m <= n:
         raise EigensolverError(f"requested {m} eigenpairs from a {n}x{n} matrix")
     if m < n - 1:
-        v0 = _start_vector(h, start_seed)
+        v0 = _start_vector(h)
         try:
             vals, vecs = eigsh(h.data, k=m, which="LA", v0=v0, maxiter=max(1000, 10 * m * 20))
         except ArpackNoConvergence as exc:

@@ -225,7 +225,18 @@ def rewire(graph: ObservationGraph, p: float, seed: int) -> ObservationGraph:
 
 def degrees(graph: ObservationGraph) -> np.ndarray:
     """Number of incident edges per vertex."""
-    d = np.zeros(graph.n_vertices, dtype=np.int64)
-    np.add.at(d, graph.edge_i, 1)
-    np.add.at(d, graph.edge_j, 1)
-    return d
+    return np.bincount(
+        np.concatenate([graph.edge_i, graph.edge_j]), minlength=graph.n_vertices
+    )
+
+
+def upper_pairs(flat, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, at the given positions of the row-major
+    upper triangle of an n x n matrix, the order of np.triu_indices(n, 1),
+    in closed form."""
+    flat = np.asarray(flat, dtype=np.int64)
+    ii = (
+        n - 2 - np.floor(np.sqrt(-8.0 * flat + 4.0 * n * (n - 1) - 7.0) / 2.0 - 0.5)
+    ).astype(np.int64)
+    jj = flat + ii + 1 - ii * (2 * n - ii - 1) // 2
+    return ii, jj

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ObservationGraph
+from .graphs import ObservationGraph, upper_pairs
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
@@ -85,7 +85,14 @@ def _stack(images) -> np.ndarray:
     """images as one float64 (n, L, L) array of square images with odd L,
     the one shape that polar_resample, _spectra, image_graph and
     rid_distance accept; anything else raises a ValueError naming it."""
-    stack = np.asarray(images, dtype=float)
+    try:
+        stack = np.asarray(images, dtype=float)
+    except ValueError:
+        sizes = sorted({np.shape(img) for img in images})
+        if len(sizes) < 2:
+            raise
+        named = ", ".join("x".join(map(str, size)) for size in sizes)
+        raise ValueError(f"images must all be one size, got {named}") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] % 2 == 0:
         raise ValueError(
             f"images must form an (n, L, L) array with odd L, got shape {stack.shape}"
@@ -237,27 +244,27 @@ def image_graph(images, edge_fraction: float) -> ObservationGraph:
 
     spectra, radii, weights = _spectra(images)
     rows = max(1, ALIGN_BUDGET // (n * spectra.shape[0]))
-    a = np.arange(n)
-    start = a * n - a * (a + 1) // 2  # position of pair (i, i+1)
     flat = np.empty(n * (n - 1) // 2)
-    flat_shift = np.empty(flat.size, dtype=np.int64)
+    flat_shift = np.empty(flat.size, dtype=np.int16)  # shifts lie in [0, N_THETA)
+    pos = 0
     for lo in range(0, n - 1, rows):
         hi = min(lo + rows, n - 1)
         d, s = _align_rows(spectra, radii, weights, lo, hi)
-        # rows lo:hi fill one contiguous run of the upper triangle
+        # rows lo:hi fill the next contiguous run of the upper triangle
         upper = np.triu(np.ones(d.shape, dtype=bool))
-        flat[start[lo] : start[hi]] = d[upper]
-        flat_shift[start[lo] : start[hi]] = s[upper]
+        end = pos + np.count_nonzero(upper)
+        flat[pos:end] = d[upper]
+        flat_shift[pos:end] = s[upper]
+        pos = end
     del spectra
 
-    mask = flat <= np.quantile(flat, edge_fraction)
-    iu, ju = np.triu_indices(n, k=1)
-    ei, ej = iu[mask], ju[mask]
+    kept = np.flatnonzero(flat <= np.quantile(flat, edge_fraction))
+    ei, ej = upper_pairs(kept, n)
     return ObservationGraph(
         n_vertices=n,
         edge_i=ei,
         edge_j=ej,
-        theta=2.0 * np.pi * flat_shift[mask] / N_THETA,
+        theta=2.0 * np.pi * flat_shift[kept] / N_THETA,
         kind=np.zeros(ei.size, dtype=np.int8),
     )
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigensolver import HermitianMatrix, top_eigenpairs
-from .graphs import ObservationGraph, degrees
+from .graphs import ObservationGraph, degrees, upper_pairs
 from .so3 import FrameSet
 
 ROW_BLOCK = 256  # most rows per block of the streamed affinity pass
@@ -30,17 +30,23 @@ GROUP_REL_TOL = 0.02
 
 @dataclass(frozen=True)
 class FrequencyBlock:
-    """Per-frequency bundle: spectrum head and the n x (2k+1) embedding."""
+    """Per-frequency bundle: spectrum head and the n x (2k+1) embedding,
+    stored as unit rows."""
 
     k: int
     eigenvalues: np.ndarray  # top 2k+2, descending
-    embedding: np.ndarray  # (n, 2k+1) complex, rows are per-vertex vectors
+    embedding: np.ndarray  # (n, 2k+1) complex unit rows, zero at isolated vertices
     isolated: np.ndarray  # (n,) bool: zero-degree vertices
 
     def __post_init__(self):
+        emb = np.asarray(self.embedding, dtype=complex)
+        isolated = np.asarray(self.isolated, dtype=bool)
+        norms = np.linalg.norm(emb, axis=1)
+        rows = emb / np.where(norms > 0, norms, 1.0)[:, None]
+        rows[isolated | (norms == 0)] = 0.0
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        object.__setattr__(self, "embedding", np.asarray(self.embedding, dtype=complex))
-        object.__setattr__(self, "isolated", np.asarray(self.isolated, dtype=bool))
+        object.__setattr__(self, "embedding", rows)
+        object.__setattr__(self, "isolated", isolated)
 
     @property
     def n(self) -> int:
@@ -48,68 +54,55 @@ class FrequencyBlock:
 
 
 def build_H(graph: ObservationGraph, k: int) -> HermitianMatrix:
-    """H^(k)_ij = e^{i k theta_ij} on edges, zero elsewhere and on the
-    diagonal; Hermitian via the theta_ji = -theta_ij convention."""
+    """The degree-normalized H^(k) = D^{-1/2} W^(k) D^{-1/2}, with W^(k)_ij
+    = e^{i k theta_ij} on edges, as one COO-to-CSR build of both
+    orientations of every edge; zero-degree rows stay empty.  Each value
+    rounds as (inv_sqrt[i] * phase) * inv_sqrt[j], as two diagonal products
+    would; Hermitian via the theta_ji = -theta_ij convention."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = np.exp(1j * k * graph.theta)
-    return HermitianMatrix.from_triplets(
-        graph.n_vertices, graph.edge_i, graph.edge_j, values
-    )
+    n = graph.n_vertices
+    degs = degrees(graph)
+    inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
+    rows = np.concatenate([graph.edge_i, graph.edge_j])
+    cols = np.concatenate([graph.edge_j, graph.edge_i])
+    phase = np.exp(1j * k * graph.theta)
+    values = (inv_sqrt[rows] * np.concatenate([phase, np.conj(phase)])) * inv_sqrt[cols]
+    return HermitianMatrix(data=sp.csr_matrix((values, (rows, cols)), shape=(n, n)))
 
 
-def normalize(h: HermitianMatrix, degs: np.ndarray) -> HermitianMatrix:
-    """Symmetric degree normalization H_ij / sqrt(D_ii D_jj); zero-degree
-    rows and columns stay zero."""
-    degs = np.asarray(degs, dtype=float)
-    if degs.shape != (h.n,):
-        raise ValueError("degree vector length mismatch")
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
-    d = sp.diags(inv_sqrt)
-    return HermitianMatrix(data=d @ h.data @ d)
-
-
-def embed(graph: ObservationGraph, k: int, start_seed: int = 0) -> FrequencyBlock:
+def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
     """Top 2k+1 eigenvectors of the normalized H^(k), one row per vertex;
     retains 2k+2 eigenvalues so the trailing gap is reportable."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    degs = degrees(graph)
-    hn = normalize(build_H(graph, k), degs)
+    h = build_H(graph, k)
     m = min(2 * k + 2, graph.n_vertices)
-    pairs = top_eigenpairs(hn, m, start_seed=start_seed)
+    pairs = top_eigenpairs(h, m)
     width = min(2 * k + 1, m)
     return FrequencyBlock(
         k=k,
         eigenvalues=pairs.values,
         embedding=pairs.vectors[:, :width],
-        isolated=degs == 0,
+        isolated=np.diff(h.data.indptr) == 0,  # the empty rows of H^(k)
     )
 
 
-def _normalized_rows(block: FrequencyBlock) -> np.ndarray:
-    norms = np.linalg.norm(block.embedding, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    rows = block.embedding / safe[:, None]
-    rows[block.isolated | (norms == 0)] = 0.0
-    return rows
-
-
-def _affinity_rows(rows: np.ndarray, isolated: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of A^(k) from the unit-normalized embedding rows:
+def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of A^(k) from the block's unit embedding rows:
     |<Psi(i), Psi(j)>| clipped to [0, 1], with diagonal 1 (0 at isolated
     vertices, whose rows are zero)."""
+    rows = block.embedding
     a = np.abs(rows[lo:hi] @ rows.conj().T)
     np.clip(a, 0.0, 1.0, out=a)
     r = np.arange(lo, hi)
-    a[r - lo, r] = np.where(isolated[lo:hi], 0.0, 1.0)
+    a[r - lo, r] = np.where(block.isolated[lo:hi], 0.0, 1.0)
     return a
 
 
 def affinity_matrix(block: FrequencyBlock) -> np.ndarray:
     """Full n x n affinity matrix A^(k); knn_streamed avoids building it."""
-    return _affinity_rows(_normalized_rows(block), block.isolated, 0, block.n)
+    return _affinity_rows(block, 0, block.n)
 
 
 def _row_blocks(n: int):
@@ -186,7 +179,6 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     if not 1 <= K < n:
         raise ValueError("K must satisfy 1 <= K < n")
     iso = blocks[0].isolated
-    rows = [_normalized_rows(b) for b in blocks]
     ks = {b.k for b in blocks}
     names = {k: f"A^({k})" for k in REPORTED_KS if k in ks}
     neighbors = {name: np.empty((n, K), dtype=np.int64) for name in names.values()}
@@ -194,8 +186,8 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     values = np.empty((n, K))
     for lo, hi in _row_blocks(n):
         prod = None
-        for b, unit in zip(blocks, rows):
-            a = _affinity_rows(unit, b.isolated, lo, hi)
+        for b in blocks:
+            a = _affinity_rows(b, lo, hi)
             if b.k in names:
                 neighbors[names[b.k]][lo:hi] = _top_k(a, lo, K, iso)
             if prod is None:
@@ -239,15 +231,11 @@ def scatter_data(
         raise ValueError("sample exceeds the number of unordered pairs")
     rng = np.random.default_rng(seed)
     flat = rng.choice(total, size=sample, replace=False)
-    # invert the row-major upper-triangle linearization
-    ii = (
-        n - 2 - np.floor(np.sqrt(-8.0 * flat + 4.0 * n * (n - 1) - 7.0) / 2.0 - 0.5)
-    ).astype(np.int64)
-    jj = (flat + ii + 1 - ii * (2 * n - ii - 1) // 2).astype(np.int64)
+    ii, jj = upper_pairs(flat, n)
     dirs = frames.viewing_directions()
     target = ((np.einsum("pd,pd->p", dirs[ii], dirs[jj]) + 1.0) / 2.0) ** block.k
-    rows = _normalized_rows(block)
-    aff = np.abs(np.einsum("pd,pd->p", rows[ii], rows[jj].conj()))
+    unit = block.embedding
+    aff = np.abs(np.einsum("pd,pd->p", unit[ii], unit[jj].conj()))
     return np.column_stack([aff, target])
 
 
@@ -255,8 +243,7 @@ def spectrum_report(graph: ObservationGraph, k: int, count: int = 19) -> np.ndar
     """Top `count` eigenvalues of the normalized H^(k), descending."""
     if count > graph.n_vertices:
         raise ValueError("count exceeds matrix dimension")
-    hn = normalize(build_H(graph, k), degrees(graph))
-    return top_eigenpairs(hn, count).values
+    return top_eigenpairs(build_H(graph, k), count).values
 
 
 def group_eigenvalues(values: np.ndarray, rel_tol: float = GROUP_REL_TOL) -> list:

@@ -525,7 +525,7 @@ class TestFramesInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {frames}: ")
         assert cause in err
-        assert not (tmp_path / "o" / "metrics.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_rotations_to_1e10_are_accepted(self, sim_dir, tmp_path):
         frames = so3.FrameSet.from_csv(sim_dir[2] / "frames.csv").frames.copy()
@@ -549,6 +549,17 @@ def test_run_names_graph_larger_than_frames(sim_dir, tmp_path, capsys):
     assert err == (
         f"error: {graph}: the graph spans {spanned} vertices, more than the 60 given\n"
     )
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_names_graph_without_edges(sim_dir, tmp_path, capsys):
+    tmp, cfg, sim = sim_dir
+    graph = tmp_path / "empty.csv"
+    graph.write_text("i,j,theta,kind\n")
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv"), "--graph", str(graph)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {graph}: the graph has no edges\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
@@ -613,8 +624,7 @@ class TestImages:
         err = capsys.readouterr().err
         assert "geometric graph is empty" in err
         assert "cos_threshold 0.9999" in err
-        assert not (out / "images_snr8.bin").exists()
-        assert not (out / "snr8" / "metrics.json").exists()
+        assert not out.exists()
 
     def test_noiseless_label(self, tmp_path):
         cfg = write_config(

@@ -245,3 +245,22 @@ class TestDegrees:
         fs = so3.sample_uniform(8, 500)
         g = graphs.clean_graph(fs, 0.9)
         assert graphs.degrees(g).sum() == 2 * g.n_edges
+
+
+class TestUpperPairs:
+    def test_matches_triu_indices(self):
+        for n in range(2, 130):
+            ii, jj = graphs.upper_pairs(np.arange(n * (n - 1) // 2), n)
+            iu, ju = np.triu_indices(n, k=1)
+            assert np.array_equal(ii, iu) and np.array_equal(jj, ju), n
+
+    def test_row_ends_at_16000(self):
+        # the first and last pair of every row, where a rounding error in
+        # the closed form would first move a position into the wrong row
+        n = 16000
+        lengths = np.arange(n - 1, 0, -1)
+        first = np.cumsum(lengths) - lengths
+        rows = np.arange(n - 1)
+        ii, jj = graphs.upper_pairs(np.concatenate([first, first + lengths - 1]), n)
+        assert np.array_equal(ii, np.concatenate([rows, rows]))
+        assert np.array_equal(jj, np.concatenate([rows + 1, np.full(n - 1, n - 1)]))

@@ -246,7 +246,7 @@ class TestRidDistance:
     def test_rejects_size_mismatch(self, phantom):
         a = imaging.project(phantom, np.eye(3), L=33)
         b = imaging.project(phantom, np.eye(3), L=65)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one size, got 33x33, 65x65"):
             imaging.rid_distance(a, b)
 
 
@@ -364,6 +364,22 @@ class TestImageGraph:
             tracemalloc.stop()
         assert peak < 90 * 2**20
 
+    def test_per_pair_memory(self, phantom, monkeypatch):
+        # with small alignment blocks the per-pair arrays set the peak:
+        # float64 distances, int16 shifts and the quantile's copy of the
+        # distances, about 21 bytes a pair here; int64 shifts and
+        # np.triu_indices took about 35
+        monkeypatch.setattr(imaging, "ALIGN_BUDGET", 2**18)
+        n = 2000
+        imgs = imaging.project(phantom, haar(3, n), L=5)
+        tracemalloc.start()
+        try:
+            imaging.image_graph(imgs, edge_fraction=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 27 * n * (n - 1) // 2
+
     @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
     def test_rejects_edge_fraction_outside_unit_interval(self, setup, frac):
         # a zero quantile would still keep the closest pair as one edge
@@ -426,6 +442,13 @@ class TestStackCheck:
                 fn(np.zeros(shape))
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             imaging.image_graph(np.zeros(shape), edge_fraction=0.5)
+
+    def test_rejects_ragged_list(self, phantom):
+        # numpy's own error for a ragged list names neither size
+        a = imaging.project(phantom, np.eye(3), L=9)
+        b = imaging.project(phantom, np.eye(3), L=7)
+        with pytest.raises(ValueError, match="one size, got 7x7, 9x9"):
+            imaging.image_graph([a, b, a], edge_fraction=0.5)
 
     def test_list_and_stack_agree(self, setup):
         _, imgs = setup

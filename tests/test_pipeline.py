@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mfca import graphs, pipeline, so3
+from mfca import eigensolver, graphs, pipeline, so3
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +34,39 @@ def shift_angles(graph, alpha):
     )
 
 
+def two_step_H(graph, k):
+    """Reference H^(k): the unnormalized CSR build, then D^{-1/2} H D^{-1/2}
+    as two sparse diagonal products."""
+    n = graph.n_vertices
+    phase = np.exp(1j * k * graph.theta)
+    rows = np.concatenate([graph.edge_i, graph.edge_j])
+    cols = np.concatenate([graph.edge_j, graph.edge_i])
+    h = sp.csr_matrix((np.concatenate([phase, phase.conj()]), (rows, cols)), shape=(n, n))
+    degs = np.diff(h.indptr).astype(float)
+    d = sp.diags(np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0))
+    return d @ h @ d
+
+
+def _edges(graph, index):
+    """graph with only the edges at index, in that order."""
+    return graphs.ObservationGraph(
+        n_vertices=graph.n_vertices,
+        edge_i=graph.edge_i[index],
+        edge_j=graph.edge_j[index],
+        theta=graph.theta[index],
+        kind=graph.kind[index],
+    )
+
+
 class TestBuildH:
     def test_entries(self, clean):
         h = pipeline.build_H(clean, 2).dense()
+        degs = graphs.degrees(clean)
         e = 0
         i, j, t = clean.edge_i[e], clean.edge_j[e], clean.theta[e]
-        assert np.isclose(h[i, j], np.exp(2j * t), atol=1e-14)
-        assert np.isclose(h[j, i], np.exp(-2j * t), atol=1e-14)
+        scale = np.sqrt(degs[i] * degs[j])
+        assert np.isclose(h[i, j], np.exp(2j * t) / scale, atol=1e-14)
+        assert np.isclose(h[j, i], np.exp(-2j * t) / scale, atol=1e-14)
 
     def test_hermitian(self, clean):
         h = pipeline.build_H(clean, 3).dense()
@@ -53,6 +80,25 @@ class TestBuildH:
         with pytest.raises(ValueError):
             pipeline.build_H(clean, 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("case", ["rewired", "isolated", "shuffled"])
+    def test_matches_two_step_reference(self, clean, k, case):
+        # the one-step build rounds every value as the two diagonal products
+        # did, so the CSR arrays agree byte for byte
+        rewired = graphs.rewire(clean, 0.5, 4)
+        graph = {
+            "rewired": rewired,
+            "isolated": _edges(clean, clean.edge_i != 0),  # vertex 0 loses its edges
+            "shuffled": _edges(rewired, np.random.default_rng(9).permutation(rewired.n_edges)),
+        }[case]
+        got = pipeline.build_H(graph, k).data
+        if case == "isolated":
+            assert got.indptr[1] == 0
+        ref = two_step_H(graph, k)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
 
 class TestNormalize:
     def test_two_vertex_example(self):
@@ -63,12 +109,11 @@ class TestNormalize:
             theta=np.array([0.5]),
             kind=np.zeros(1, dtype=np.int8),
         )
-        hn = pipeline.normalize(pipeline.build_H(g, 1), graphs.degrees(g)).dense()
+        hn = pipeline.build_H(g, 1).dense()
         assert np.isclose(hn[0, 1], np.exp(0.5j), atol=1e-14)
 
     def test_spectral_radius_at_most_one(self, clean):
-        hn = pipeline.normalize(pipeline.build_H(clean, 1), graphs.degrees(clean))
-        vals = np.linalg.eigvalsh(hn.dense())
+        vals = np.linalg.eigvalsh(pipeline.build_H(clean, 1).dense())
         assert np.max(np.abs(vals)) <= 1.0 + 1e-9
 
     def test_isolated_row_stays_zero(self):
@@ -79,12 +124,8 @@ class TestNormalize:
             theta=np.array([1.0]),
             kind=np.zeros(1, dtype=np.int8),
         )
-        hn = pipeline.normalize(pipeline.build_H(g, 1), graphs.degrees(g)).dense()
+        hn = pipeline.build_H(g, 1).dense()
         assert np.all(hn[2] == 0) and np.all(hn[:, 2] == 0)
-
-    def test_degree_length_mismatch(self, clean):
-        with pytest.raises(ValueError):
-            pipeline.normalize(pipeline.build_H(clean, 1), np.ones(3))
 
 
 class TestEmbed:
@@ -93,6 +134,7 @@ class TestEmbed:
             assert b.embedding.shape == (clean.n_vertices, 2 * b.k + 1)
             assert b.eigenvalues.shape == (2 * b.k + 2,)
             assert np.all(np.diff(b.eigenvalues) <= 1e-12)
+            assert np.allclose(np.linalg.norm(b.embedding, axis=1), 1.0, atol=1e-14)
 
     def test_isolated_mask(self, blocks):
         assert not np.any(blocks[0].isolated)
@@ -126,9 +168,11 @@ class TestAffinity:
         a1 = pipeline.affinity_matrix(pipeline.embed(shifted, 2))
         assert np.max(np.abs(a0 - a1)) < 1e-8
 
-    def test_start_seed_stability(self, clean):
-        b0 = pipeline.embed(clean, 1, start_seed=0)
-        b1 = pipeline.embed(clean, 1, start_seed=42)
+    def test_start_seed_stability(self, clean, monkeypatch):
+        b0 = pipeline.embed(clean, 1)
+        rng = np.random.default_rng(42)
+        monkeypatch.setattr(eigensolver, "_start_vector", lambda h: rng.standard_normal(h.n))
+        b1 = pipeline.embed(clean, 1)
         a0 = pipeline.affinity_matrix(b0)
         a1 = pipeline.affinity_matrix(b1)
         assert np.max(np.abs(a0 - a1)) < 1e-6
