@@ -81,7 +81,7 @@ def _check_contract(h: HermitianMatrix, values, vectors) -> None:
     scale = max(1.0, h.frobenius())
     resid = h.data @ vectors - vectors * values[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
-    if worst > RESIDUAL_TOL * scale:
+    if not worst <= RESIDUAL_TOL * scale:  # NaN fails too
         raise EigensolverError(
             f"residual contract violated: {worst:.3e} > {RESIDUAL_TOL:.1e}*{scale:.3e}",
             best_residual=worst,

@@ -46,6 +46,8 @@ class ObservationGraph:
             raise ValueError("edge arrays must have equal lengths")
         if np.any((kd != GOOD) & (kd != REWIRED)):
             raise ValueError("edge kind must be GOOD or REWIRED")
+        if not np.all(np.isfinite(th)):
+            raise ValueError("theta must be finite")
         if ei.size:
             if np.any(ei >= ej):
                 raise ValueError("edges must satisfy i < j (no self loops)")
@@ -72,8 +74,8 @@ class ObservationGraph:
     @classmethod
     def from_csv(cls, path, n_vertices: int | None = None) -> "ObservationGraph":
         """Read a graph written by to_csv in one parsing pass; '#' comments
-        are skipped.  A malformed row or an unknown kind raises ValueError
-        naming the file."""
+        are skipped.  A malformed row, an unknown kind or an edge that the
+        constructor rejects raises ValueError naming the file."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header != _HEADER:
@@ -99,13 +101,16 @@ class ObservationGraph:
                 f"{path}: the graph spans {spanned} vertices, "
                 f"more than the {n_vertices} given"
             )
-        return cls(
-            n_vertices=n_vertices,
-            edge_i=rows["i"].copy(),
-            edge_j=ej,
-            theta=rows["theta"].copy(),
-            kind=kind,
-        )
+        try:
+            return cls(
+                n_vertices=n_vertices,
+                edge_i=rows["i"].copy(),
+                edge_j=ej,
+                theta=rows["theta"].copy(),
+                kind=kind,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _bad_row_message(path) -> str | None:

@@ -1,13 +1,13 @@
 """The multi-frequency class averaging algorithm: per-frequency Hermitian
-matrices, normalized spectra, embeddings, affinities, aggregation, nearest
-neighbors, and evaluation metrics.
+matrices, embeddings, affinities, aggregation, nearest neighbors, and
+evaluation metrics.
 
 For each frequency k the graph's alignment angles are encoded as e^{i k
 theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix give the
 per-vertex embedding, whose normalized inner products define the affinity
 A^(k).  Affinities multiply across frequencies into the aggregate A^All.
-Nearest neighbors come from one pass over blocks of rows, each within
-ROW_BUDGET entries at any n, so no n x n matrix is built.
+knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
+of rows, each within ROW_BUDGET entries at any n, so no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -100,18 +100,14 @@ def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
     return a
 
 
-def affinity_matrix(block: FrequencyBlock) -> np.ndarray:
-    """Full n x n affinity matrix A^(k); knn_streamed avoids building it."""
-    return _affinity_rows(block, 0, block.n)
-
-
 def _row_blocks(n: int):
     """(lo, hi) bounds of consecutive blocks of ROW_BLOCK rows, or of as many
     as keep a block of n columns within ROW_BUDGET entries, if fewer.
 
     A one-row block is folded into the block before it: numpy computes a
-    one-row product with BLAS gemv, which rounds differently from the gemm
-    of the whole-range affinity_matrix.
+    one-row product with BLAS gemv, which rounds differently from gemm, and
+    every block size must round alike, so that neither the neighbors nor the
+    affinities written depend on the blocking.
     """
     step = max(2, min(ROW_BLOCK, ROW_BUDGET // n))  # never a one-row block
     lo = 0
@@ -146,26 +142,6 @@ def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
     return cand_col[order[first[:, None] + np.arange(K)]]
 
 
-def knn(affinity: np.ndarray, K: int, isolated: np.ndarray | None = None) -> np.ndarray:
-    """Per-vertex indices of the K largest-affinity other vertices.
-
-    Ties break toward the lower index; isolated vertices are excluded from
-    candidacy and receive neighbor lists drawn from the remaining pool.  A
-    NaN affinity raises ValueError.
-    """
-    a = np.asarray(affinity, dtype=float)
-    n = a.shape[0]
-    if not 1 <= K < n:
-        raise ValueError("K must satisfy 1 <= K < n")
-    if np.isnan(a).any():
-        raise ValueError("affinity contains NaN")
-    iso = np.zeros(n, dtype=bool) if isolated is None else np.asarray(isolated, dtype=bool)
-    out = np.empty((n, K), dtype=np.int64)
-    for lo, hi in _row_blocks(n):
-        out[lo:hi] = _top_k(a[lo:hi], lo, K, iso)
-    return out
-
-
 def knn_streamed(blocks: list, K: int) -> tuple:
     """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
     in one pass over blocks of rows, so no n x n matrix is built.
@@ -173,7 +149,9 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     Each row block of A^All is multiplied up in the order of `blocks`, which
     reproduces np.prod over a stacked array bit for bit.  Returns a dict of
     (n, K) neighbor lists keyed "A^(k)" then "A^All", and A^All's values at
-    its neighbors.  Isolated vertices are excluded as in knn.
+    its neighbors.  Ties break toward the lower index; isolated vertices are
+    excluded from candidacy and receive neighbor lists drawn from the
+    remaining pool.
     """
     n = blocks[0].n
     if not 1 <= K < n:
@@ -237,13 +215,6 @@ def scatter_data(
     unit = block.embedding
     aff = np.abs(np.einsum("pd,pd->p", unit[ii], unit[jj].conj()))
     return np.column_stack([aff, target])
-
-
-def spectrum_report(graph: ObservationGraph, k: int, count: int = 19) -> np.ndarray:
-    """Top `count` eigenvalues of the normalized H^(k), descending."""
-    if count > graph.n_vertices:
-        raise ValueError("count exceeds matrix dimension")
-    return top_eigenpairs(build_H(graph, k), count).values
 
 
 def group_eigenvalues(values: np.ndarray, rel_tol: float = GROUP_REL_TOL) -> list:

@@ -101,11 +101,6 @@ def to_euler(r: np.ndarray) -> EulerAngles:
     return EulerAngles(float(wrap_angle(phi)), theta, float(wrap_angle(psi)))
 
 
-def viewing_direction(r: np.ndarray) -> np.ndarray:
-    """Third column of the frame: the projection axis on S^2."""
-    return np.asarray(r)[:, 2].copy()
-
-
 @dataclass(frozen=True)
 class FrameSet:
     """A batch of N frames sampled or loaded together."""
@@ -169,22 +164,14 @@ def sample_uniform(seed: int, n: int) -> FrameSet:
     return FrameSet(frames=q)
 
 
-def alignment_angle(r_i: np.ndarray, r_j: np.ndarray) -> float:
-    """Angle theta minimizing ||R_i h(theta) - R_j||_F, in [0, 2*pi).
-
-    Raises AntipodalFramesError when the viewing directions are antipodal
-    (no unique geodesic, so the transported in-plane angle is undefined).
-    """
-    m = np.asarray(r_i).T @ np.asarray(r_j)
-    c = m[0, 0] + m[1, 1]
-    s = m[1, 0] - m[0, 1]
-    if np.hypot(c, s) < 1e-12:
-        raise AntipodalFramesError("viewing directions are antipodal")
-    return float(wrap_angle(np.arctan2(s, c)))
-
-
 def alignment_angles(frames: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Vectorized alignment_angle over index pairs (ii, jj) into frames."""
+    """For each index pair (i, j) in (ii, jj), the angle theta minimizing
+    ||R_i h(theta) - R_j||_F, in [0, 2*pi), with R = frames.
+
+    Raises AntipodalFramesError when a pair's viewing directions are
+    antipodal (no unique geodesic, so the transported in-plane angle is
+    undefined).
+    """
     m = np.einsum("pba,pbc->pac", frames[ii], frames[jj])
     c = m[:, 0, 0] + m[:, 1, 1]
     s = m[:, 1, 0] - m[:, 0, 1]

@@ -167,7 +167,7 @@ def test_criterion_4_wigner_identities():
 def _spectrum_groups(graph, k):
     """Sizes of the first two eigenvalue groups and the gap/spread ratio of
     the top 2k+1 group."""
-    vals = pipeline.spectrum_report(graph, k, count=4 * k + 5)
+    vals = es.top_eigenpairs(pipeline.build_H(graph, k), 4 * k + 5).values
     groups = pipeline.group_eigenvalues(vals, rel_tol=0.02)
     g0 = len(groups[0])
     g1 = len(groups[1]) if len(groups) > 1 else 0
@@ -234,13 +234,10 @@ def test_criterion_7_noise_robustness_ordering():
         clean = graphs.clean_graph(frames, 0.95)
         noisy = graphs.rewire(clean, 0.1, seed + 100)
         blocks = [pipeline.embed(noisy, k) for k in range(1, 11)]
-        mats = {b.k: pipeline.affinity_matrix(b) for b in blocks}
-        all_mat = np.prod(np.array([mats[k] for k in range(1, 11)]), axis=0)
-        iso = blocks[0].isolated
-        for name, mat in (("A1", mats[1]), ("A5", mats[5]), ("AAll", all_mat)):
-            nb = pipeline.knn(mat, 50, iso)
+        neighbors, _ = pipeline.knn_streamed(blocks, 50)
+        for name, method in (("A1", "A^(1)"), ("A5", "A^(5)"), ("AAll", "A^All")):
             fracs[name].append(
-                pipeline.evaluate_neighbors(frames, nb)["frac_le_30"]
+                pipeline.evaluate_neighbors(frames, neighbors[method])["frac_le_30"]
             )
     f1 = float(np.mean(fracs["A1"]))
     f5 = float(np.mean(fracs["A5"]))
@@ -338,21 +335,25 @@ def test_criterion_8_image_pipeline_sanity():
     )
 
 
+def _alignment_angle(r_i, r_j):
+    return float(so3.alignment_angles(np.stack([r_i, r_j]), np.array([0]), np.array([1]))[0])
+
+
 def test_criterion_9_invariant_suites():
     t0 = time.perf_counter()
     worst_transport = 0.0
     rng = np.random.default_rng(9)
     for _ in range(50):
         r_i, r_j, g = so3.sample_uniform(int(rng.integers(1 << 31)), 3).frames
-        t_ij = so3.alignment_angle(r_i, r_j)
-        t_ji = so3.alignment_angle(r_j, r_i)
+        t_ij = _alignment_angle(r_i, r_j)
+        t_ji = _alignment_angle(r_j, r_i)
         worst_transport = max(
             worst_transport,
             float(min(abs((t_ij + t_ji) % (2 * np.pi)), abs((t_ij + t_ji) % (2 * np.pi) - 2 * np.pi))),
-            float(abs(so3.alignment_angle(g @ r_i, g @ r_j) - t_ij)),
+            float(abs(_alignment_angle(g @ r_i, g @ r_j) - t_ij)),
         )
         a1, a2 = rng.uniform(0, 2 * np.pi, 2)
-        shifted = so3.alignment_angle(r_i @ so3.in_plane(a1), r_j @ so3.in_plane(a2))
+        shifted = _alignment_angle(r_i @ so3.in_plane(a1), r_j @ so3.in_plane(a2))
         delta = (shifted - (t_ij - a1 + a2)) % (2 * np.pi)
         worst_transport = max(worst_transport, float(min(delta, 2 * np.pi - delta)))
 
@@ -364,13 +365,16 @@ def test_criterion_9_invariant_suites():
         n_vertices=400, edge_i=clean.edge_i, edge_j=clean.edge_j,
         theta=theta, kind=clean.kind,
     )
-    a0 = pipeline.affinity_matrix(pipeline.embed(clean, 2))
-    a1_ = pipeline.affinity_matrix(pipeline.embed(gauged, 2))
+    b0 = pipeline.embed(clean, 2)
+    a0 = pipeline._affinity_rows(b0, 0, 400)
+    a1_ = pipeline._affinity_rows(pipeline.embed(gauged, 2), 0, 400)
     gauge_dev = float(np.max(np.abs(a0 - a1_)))
 
-    base = pipeline.knn(a0, 10)
+    # A^All over p copies of one frequency is the p-th power of its affinity
+    base = pipeline.knn_streamed([b0], 10)[0]["A^All"]
     argmax_exact = all(
-        np.array_equal(base, pipeline.knn(a0**p, 10)) for p in (2, 5, 10)
+        np.array_equal(base, pipeline.knn_streamed([b0] * p, 10)[0]["A^All"])
+        for p in (2, 5, 10)
     )
 
     m = np.random.default_rng(3).standard_normal((40, 40))

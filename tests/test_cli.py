@@ -248,7 +248,8 @@ class TestRun:
         assert rows.shape == (200 * 5, 5)
 
     def test_neighbors_csv_matches_dense_reference(self, sim_dir, tmp_path):
-        # reference: dense A^All, knn, and the per-pair row writer
+        # reference: dense A^All, a full per-row sort by (-affinity, index),
+        # and the per-pair row writer
         tmp, cfg, sim = sim_dir
         out = tmp_path / "run4"
         graph_path = sim / "graph_p1.csv"
@@ -264,8 +265,11 @@ class TestRun:
         frames = so3.FrameSet.from_csv(sim / "frames.csv")
         graph = graphs.ObservationGraph.from_csv(graph_path, n_vertices=200)
         blocks = [pipeline.embed(graph, k) for k in range(1, 11)]
-        prod = np.prod(np.array([pipeline.affinity_matrix(b) for b in blocks]), axis=0)
-        nb = pipeline.knn(prod, 5, blocks[0].isolated)
+        prod = np.prod(np.array([pipeline._affinity_rows(b, 0, 200) for b in blocks]), axis=0)
+        keys = prod.copy()
+        np.fill_diagonal(keys, -np.inf)
+        keys[:, blocks[0].isolated] = -np.inf
+        nb = np.array([np.lexsort((np.arange(200), -row))[:5] for row in keys])
         dirs = frames.viewing_directions()
         expected = []
         for i in range(200):
@@ -360,6 +364,25 @@ class TestRun:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: line 3: bad graph row '0,2,0.5' (expected i,j,theta,kind)\n"
+
+    @pytest.mark.parametrize(
+        "row, cause",
+        [
+            ("0,7,nan,good", "theta must be finite"),
+            ("0,7,inf,good", "theta must be finite"),
+            ("0,7,-inf,rewired", "theta must be finite"),
+            ("7,0,0.5,good", "edges must satisfy i < j (no self loops)"),
+        ],
+    )
+    def test_rejected_edge_names_file(self, sim_dir, tmp_path, capsys, row, cause):
+        tmp, cfg, sim = sim_dir
+        bad = tmp_path / "bad_graph.csv"
+        bad.write_text(f"i,j,theta,kind\n0,1,0.5,good\n{row}\n")
+        argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+        argv += ["--graph", str(bad), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {cause}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_prints_one_summary_line_per_method(self, sim_dir, tmp_path, capsys):
         tmp, cfg, sim = sim_dir

@@ -89,6 +89,14 @@ class TestTopEigenpairs:
         resid = m @ pairs.vectors - pairs.vectors * pairs.values[None, :]
         assert np.max(np.linalg.norm(resid, axis=0)) < 1e-10 * max(1, np.linalg.norm(m))
 
+    def test_nan_entry_breaks_the_contract(self):
+        # a NaN residual compares False against the tolerance, so the
+        # contract must not pass on a failed comparison
+        m = np.diag([1.0, 0.5, 0.2]).astype(complex)
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(es.EigensolverError, match="residual contract"):
+            es.top_eigenpairs(es.HermitianMatrix(data=m), 3)
+
     def test_permutation_invariance(self):
         m = random_hermitian(12, 8)
         rng = np.random.default_rng(1)

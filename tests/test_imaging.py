@@ -224,8 +224,7 @@ class TestRidDistance:
         b = imaging.project(phantom, r @ so3.in_plane(alpha))
         d, theta = imaging.rid_distance(a, b)
         assert d < 0.05 * np.linalg.norm(a)
-        est = so3.alignment_angle(r, r @ so3.in_plane(alpha))
-        diff = abs((theta - est + np.pi) % (2 * np.pi) - np.pi)
+        diff = abs((theta - alpha + np.pi) % (2 * np.pi) - np.pi)
         assert diff < np.radians(1.1)
 
     def test_angle_antisymmetry_within_bin(self, phantom):

@@ -47,6 +47,11 @@ def two_step_H(graph, k):
     return d @ h @ d
 
 
+def affinity(block):
+    """The whole n x n A^(k), from the rows the streamed K-NN computes."""
+    return pipeline._affinity_rows(block, 0, block.n)
+
+
 def _edges(graph, index):
     """graph with only the edges at index, in that order."""
     return graphs.ObservationGraph(
@@ -153,7 +158,7 @@ class TestEmbed:
 
 class TestAffinity:
     def test_bounds_and_symmetry(self, blocks):
-        a = pipeline.affinity_matrix(blocks[0])
+        a = affinity(blocks[0])
         assert np.all(a >= 0) and np.all(a <= 1)
         assert np.allclose(a, a.T, atol=1e-12)
         assert np.allclose(np.diag(a), 1.0)
@@ -164,8 +169,8 @@ class TestAffinity:
         rng = np.random.default_rng(3)
         alpha = rng.uniform(0, 2 * np.pi, clean.n_vertices)
         shifted = shift_angles(clean, alpha)
-        a0 = pipeline.affinity_matrix(pipeline.embed(clean, 2))
-        a1 = pipeline.affinity_matrix(pipeline.embed(shifted, 2))
+        a0 = affinity(pipeline.embed(clean, 2))
+        a1 = affinity(pipeline.embed(shifted, 2))
         assert np.max(np.abs(a0 - a1)) < 1e-8
 
     def test_start_seed_stability(self, clean, monkeypatch):
@@ -173,8 +178,8 @@ class TestAffinity:
         rng = np.random.default_rng(42)
         monkeypatch.setattr(eigensolver, "_start_vector", lambda h: rng.standard_normal(h.n))
         b1 = pipeline.embed(clean, 1)
-        a0 = pipeline.affinity_matrix(b0)
-        a1 = pipeline.affinity_matrix(b1)
+        a0 = affinity(b0)
+        a1 = affinity(b1)
         assert np.max(np.abs(a0 - a1)) < 1e-6
 
 
@@ -188,49 +193,43 @@ class TestKnn:
                 [0.5, 0.3, 0.8, 1.0],
             ]
         )
-        nb = pipeline.knn(a, 2)
+        nb = pipeline._top_k(a, 0, 2, np.zeros(4, dtype=bool))
         assert nb[0].tolist() == [1, 3]
         assert nb[2].tolist() == [3, 1]
 
     def test_tie_breaks_to_lower_index(self):
         a = np.full((4, 4), 0.5)
         np.fill_diagonal(a, 1.0)
-        nb = pipeline.knn(a, 2)
+        nb = pipeline._top_k(a, 0, 2, np.zeros(4, dtype=bool))
         assert nb[3].tolist() == [0, 1]
 
     def test_excludes_isolated(self):
-        a = np.full((4, 4), 0.5)
-        nb = pipeline.knn(a, 2, isolated=np.array([False, True, False, False]))
-        assert 1 not in nb[0]
+        blocks = _random_blocks(12, (1, 2), 3, isolated=(1, 4))
+        nb, _ = pipeline.knn_streamed(blocks, 3)
+        for name in ("A^(1)", "A^All"):
+            assert not np.isin(nb[name], [1, 4]).any(), name
 
     def test_monotone_transform_invariance(self, blocks):
-        # elementwise powers of one affinity matrix are monotone transforms,
-        # so the neighbor lists must be exactly identical
-        a = pipeline.affinity_matrix(blocks[0])
-        base = pipeline.knn(a, 5)
+        # A^All over p copies of one frequency is an elementwise power of its
+        # affinity, a monotone transform, so the neighbor lists must be
+        # exactly identical
+        base = pipeline.knn_streamed(blocks[:1], 5)[0]["A^All"]
         for power in (2, 5):
-            assert np.array_equal(base, pipeline.knn(a**power, 5))
+            assert np.array_equal(base, pipeline.knn_streamed(blocks[:1] * power, 5)[0]["A^All"])
 
     def test_cross_frequency_overlap(self, blocks):
         # different frequencies estimate the same geometry: neighbor sets
         # should agree closely (sampling noise prevents exact equality)
-        k1 = pipeline.knn(pipeline.affinity_matrix(blocks[0]), 5)
-        k3 = pipeline.knn(pipeline.affinity_matrix(blocks[2]), 5)
+        k1 = pipeline.knn_streamed([blocks[0]], 5)[0]["A^All"]
+        k3 = pipeline.knn_streamed([blocks[2]], 5)[0]["A^All"]
         overlap = np.mean(
             [len(set(a) & set(b)) / 5.0 for a, b in zip(k1, k3)]
         )
         assert overlap > 0.8
 
     def test_rejects_bad_K(self, blocks):
-        a = pipeline.affinity_matrix(blocks[0])
         with pytest.raises(ValueError):
-            pipeline.knn(a, 0)
-
-    def test_rejects_nan(self):
-        a = np.full((4, 4), 0.5)
-        a[2, 1] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            pipeline.knn(a, 2)
+            pipeline.knn_streamed(blocks[:1], 0)
 
 
 def _random_blocks(n, ks, seed, isolated=(), constant=False):
@@ -277,19 +276,16 @@ class TestKnnStreamed:
         monkeypatch.setattr(pipeline, "ROW_BLOCK", 8)
         blocks = _random_blocks(n, range(1, 11), 5, isolated, constant)
         iso = blocks[0].isolated
-        mats = [pipeline.affinity_matrix(b) for b in blocks]
+        mats = [affinity(b) for b in blocks]
         prod = np.prod(np.array(mats), axis=0)
-        dense = {f"A^({k})": pipeline.knn(mats[k - 1], K, iso) for k in (1, 5, 10)}
-        dense["A^All"] = pipeline.knn(prod, K, iso)
+        dense = {f"A^({k})": _lexsort_knn(mats[k - 1], K, iso) for k in (1, 5, 10)}
+        dense["A^All"] = _lexsort_knn(prod, K, iso)
 
         got, values = pipeline.knn_streamed(blocks, K)
         assert list(got) == ["A^(1)", "A^(5)", "A^(10)", "A^All"]
         for name, nb in dense.items():
             assert np.array_equal(got[name], nb), name
         assert np.array_equal(values, np.take_along_axis(prod, dense["A^All"], axis=1))
-        for k in (1, 5, 10):
-            assert np.array_equal(dense[f"A^({k})"], _lexsort_knn(mats[k - 1], K, iso))
-        assert np.array_equal(dense["A^All"], _lexsort_knn(prod, K, iso))
 
     def test_rejects_bad_K(self):
         with pytest.raises(ValueError):
@@ -332,7 +328,7 @@ class TestEvaluateNeighbors:
         # true nearest directions under a 0.9 cap lie within ~25.8 degrees
         dirs = frames.viewing_directions()
         dots = dirs @ dirs.T
-        nb = pipeline.knn(dots, 5)
+        nb = pipeline._top_k(dots, 0, 5, np.zeros(400, dtype=bool))
         stats = pipeline.evaluate_neighbors(frames, nb)
         assert stats["mean_angle_deg"] < 19.2
         assert stats["frac_le_30"] > 0.99
@@ -372,10 +368,6 @@ class TestScatter:
 
 
 class TestSpectrum:
-    def test_report_matches_embed(self, clean, blocks):
-        vals = pipeline.spectrum_report(clean, 1, count=4)
-        assert np.allclose(vals, blocks[0].eigenvalues[:4], atol=1e-8)
-
     def test_group_eigenvalues(self):
         groups = pipeline.group_eigenvalues(np.array([1.0, 0.999, 0.99, 0.5, 0.49]))
         assert groups == [[0, 1, 2], [3, 4]]
@@ -385,6 +377,6 @@ class TestSpectrum:
 
     def test_top_multiplicity_three(self, clean):
         # at k=1 the leading group of the normalized spectrum has size 3
-        vals = pipeline.spectrum_report(clean, 1, count=10)
+        vals = eigensolver.top_eigenpairs(pipeline.build_H(clean, 1), 10).values
         groups = pipeline.group_eigenvalues(vals, rel_tol=0.04)
         assert len(groups[0]) == 3
