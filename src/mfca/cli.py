@@ -185,20 +185,22 @@ def cmd_wigner(args) -> int:
     return 0
 
 
+def _to_csv(obj, path: Path, cfg: ExperimentConfig) -> None:
+    """obj.to_csv(path), then the config line that ends the file."""
+    obj.to_csv(path)
+    with open(path, "a") as fh:
+        fh.write(f"# config={cfg.hash()}\n")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     frames = sample_uniform(cfg.seed, cfg.n_frames)
-    with open(out / "frames.csv", "w") as fh:
-        frames.write_csv(fh)
-        fh.write(f"# config={cfg.hash()}\n")
+    _to_csv(frames, out / "frames.csv", cfg)
     clean = graphs.clean_graph(frames, cfg.cos_threshold)
     for p in cfg.p_values:
         g = clean if p == 1.0 else graphs.rewire(clean, p, cfg.seed + 1)
-        path = out / f"graph_p{p:g}.csv"
-        g.to_csv(path)
-        with open(path, "a") as fh:
-            fh.write(f"# config={cfg.hash()}\n")
+        _to_csv(g, out / f"graph_p{p:g}.csv", cfg)
     return 0
 
 
@@ -226,22 +228,15 @@ def _run_pipeline(
             write_rows(fh, "%.17g,%.17g\n", pts[:, 0], pts[:, 1])
 
     neighbors, values = pipeline.knn_streamed(blocks, cfg.knn_k)
-    metrics = {
-        name: pipeline.evaluate_neighbors(frames, nb) for name, nb in neighbors.items()
-    }
-    nb = neighbors["A^All"]
-    n, K = nb.shape
+    angles = {name: pipeline.neighbor_angles(frames, nb) for name, nb in neighbors.items()}
+    metrics = {name: pipeline.angle_stats(ang) for name, ang in angles.items()}
+    n, K = values.shape
     ii = np.repeat(np.arange(n), K)
-    jj = nb.ravel()
-    dirs = frames.viewing_directions()
-    # a stack of 1x3 @ 3x1 products rounds as the per-pair dirs[i] @ dirs[j]
-    # does; einsum does not
-    cos = (dirs[ii][:, None, :] @ dirs[jj][:, :, None]).ravel()
-    ang = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
     ranks = np.tile(np.arange(K), n)
     with open(out / "neighbors.csv", "w") as fh:
         fh.write("i,rank,j,affinity,true_angle_deg\n")
         fh.write(tag)
+        jj, ang = neighbors["A^All"].ravel(), angles["A^All"].ravel()
         write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", ii, ranks, jj, values.ravel(), ang)
     result = {"config": cfg.hash(), "methods": metrics}
     if edge_match is not None:
@@ -256,9 +251,20 @@ def _run_pipeline(
         )
 
 
+def _check_frame_count(cfg: ExperimentConfig, n: int, source: str) -> None:
+    """Reject, before anything is written, a k_max or knn_k that n frames
+    cannot serve; `source` says where n came from."""
+    need = 2 * cfg.k_max + 4  # what pipeline.embed needs at k = k_max
+    if n < need:
+        raise ConfigError(f"k_max {cfg.k_max} needs 2*k_max+4 = {need} frames; {source}")
+    if cfg.knn_k >= n:
+        raise ConfigError(f"knn_k {cfg.knn_k} must be below the frame count; {source}")
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     frames = FrameSet.from_csv(args.frames)
+    _check_frame_count(cfg, len(frames), f"{args.frames} has {len(frames)}")
     graph = graphs.ObservationGraph.from_csv(args.graph, n_vertices=len(frames))
     if graph.n_edges == 0:
         raise ValueError(f"{args.graph}: the graph has no edges")
@@ -269,8 +275,9 @@ def cmd_run(args) -> int:
 
 def cmd_images(args) -> int:
     cfg = _load_config(args)
-    frames = sample_uniform(cfg.seed, cfg.n_frames)
     n = cfg.n_frames
+    _check_frame_count(cfg, n, f"n_frames is {n}")
+    frames = sample_uniform(cfg.seed, n)
     geometric = graphs.clean_graph(frames, cfg.cos_threshold)
     if geometric.n_edges == 0:
         # the image graph keeps the same share of pairs, which would be none
@@ -280,9 +287,7 @@ def cmd_images(args) -> int:
         )
     clean_frac = geometric.n_edges / (n * (n - 1) / 2)
     out = _out_dir(args, cfg)
-    with open(out / "frames.csv", "w") as fh:
-        frames.write_csv(fh)
-        fh.write(f"# config={cfg.hash()}\n")
+    _to_csv(frames, out / "frames.csv", cfg)
     phantom = imaging.default_phantom()
     clean = imaging.project(phantom, frames.frames, L=cfg.image_size)
     geometric_keys = geometric.edge_i * n + geometric.edge_j
@@ -302,7 +307,7 @@ def cmd_images(args) -> int:
             idx = np.arange(len(imgs))
             write_rows(fh, f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx)
         g = imaging.image_graph(imgs, edge_fraction=clean_frac)
-        g.to_csv(out / f"image_graph_snr{label}.csv")
+        _to_csv(g, out / f"image_graph_snr{label}.csv", cfg)
         # share of the geometric graph's edges that the image graph found
         match = float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))
         sub = out / f"snr{label}"
@@ -354,7 +359,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     frames = FrameSet.from_csv(args.frames)
     nb = _read_neighbors(args.neighbors, len(frames))
-    metrics = pipeline.evaluate_neighbors(frames, nb)
+    metrics = pipeline.angle_stats(pipeline.neighbor_angles(frames, nb))
     out = _out_dir(args, cfg)
     with open(out / "metrics.json", "w") as fh:
         json.dump({"config": cfg.hash(), "methods": {"input": metrics}}, fh, indent=1)

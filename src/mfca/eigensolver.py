@@ -2,9 +2,9 @@
 
 Every solve takes the iterative Krylov path (ARPACK) with a start vector
 derived deterministically from a hash of the matrix entries, so repeated
-solves of the same matrix give bit-identical output.  ARPACK cannot return
-m >= n - 1 eigenpairs of a complex matrix; only there, for real and complex
-input alike, is the matrix made dense for a direct solve.
+solves of the same matrix give bit-identical output.  ARPACK returns at most
+n - 2 eigenpairs of an n x n complex matrix, so top_eigenpairs accepts only
+1 <= m < n - 1, for real input too, and has no dense fallback.
 """
 
 from __future__ import annotations
@@ -14,18 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 RESIDUAL_TOL = 1e-10  # worst residual allowed, relative to max(1, ||H||_F)
 
 
 class EigensolverError(RuntimeError):
-    """Raised on non-convergence or a violated residual contract; carries the
-    best residual achieved."""
-
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Raised on a request ARPACK cannot serve, an ARPACK failure
+    (non-convergence included), or a violated residual contract."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +43,6 @@ class HermitianMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.data.toarray()
 
     def frobenius(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.data.data) ** 2)))
@@ -83,35 +76,26 @@ def _check_contract(h: HermitianMatrix, values, vectors) -> None:
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
     if not worst <= RESIDUAL_TOL * scale:  # NaN fails too
         raise EigensolverError(
-            f"residual contract violated: {worst:.3e} > {RESIDUAL_TOL:.1e}*{scale:.3e}",
-            best_residual=worst,
+            f"residual contract violated: {worst:.3e} > {RESIDUAL_TOL:.1e}*{scale:.3e}"
         )
 
 
 def top_eigenpairs(h: HermitianMatrix, m: int) -> EigenPairs:
-    """The m algebraically largest eigenpairs of h, descending.
+    """The m algebraically largest eigenpairs of h, descending, for
+    1 <= m < n - 1.
 
-    Deterministic for fixed input; the iterative path seeds its start vector
-    from a hash of the matrix entries.
+    Deterministic for fixed input; the start vector is seeded from a hash of
+    the matrix entries.
     """
     n = h.n
-    if not 1 <= m <= n:
-        raise EigensolverError(f"requested {m} eigenpairs from a {n}x{n} matrix")
-    if m < n - 1:
-        v0 = _start_vector(h)
-        try:
-            vals, vecs = eigsh(h.data, k=m, which="LA", v0=v0, maxiter=max(1000, 10 * m * 20))
-        except ArpackNoConvergence as exc:
-            best = None
-            if len(exc.eigenvalues):
-                r = h.data @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues[None, :]
-                best = float(np.max(np.linalg.norm(r, axis=0)))
-            raise EigensolverError(
-                f"iterative solver failed to converge: {exc}", best_residual=best
-            ) from exc
-    else:
-        vals, vecs = np.linalg.eigh(h.dense())
-        vals, vecs = vals[-m:], vecs[:, -m:]
+    if not 1 <= m < n - 1:
+        limit = f"ARPACK needs 1 <= m < n - 1 = {n - 1}"
+        raise EigensolverError(f"requested m = {m} eigenpairs of an n = {n} matrix; {limit}")
+    v0 = _start_vector(h)
+    try:
+        vals, vecs = eigsh(h.data, k=m, which="LA", v0=v0, maxiter=max(1000, 10 * m * 20))
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise EigensolverError(f"iterative solver failed: {exc}") from exc
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     _check_contract(h, vals, vecs)

@@ -3,7 +3,8 @@ matrices, embeddings, affinities, aggregation, nearest neighbors, and
 evaluation metrics.
 
 For each frequency k the graph's alignment angles are encoded as e^{i k
-theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix give the
+theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix, from
+one Krylov solve of 2k+2 pairs (so at least 2k+4 vertices), give the
 per-vertex embedding, whose normalized inner products define the affinity
 A^(k).  Affinities multiply across frequencies into the aggregate A^All.
 knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
@@ -73,17 +74,19 @@ def build_H(graph: ObservationGraph, k: int) -> HermitianMatrix:
 
 def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
     """Top 2k+1 eigenvectors of the normalized H^(k), one row per vertex;
-    retains 2k+2 eigenvalues so the trailing gap is reportable."""
+    retains 2k+2 eigenvalues so the trailing gap is reportable.  The Krylov
+    solve needs 2k+2 < n - 1, so the graph must have at least 2k+4 vertices."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
+    if graph.n_vertices < 2 * k + 4:
+        n = graph.n_vertices
+        raise ValueError(f"frequency k={k} needs 2k+4 = {2 * k + 4} vertices; the graph has {n}")
     h = build_H(graph, k)
-    m = min(2 * k + 2, graph.n_vertices)
-    pairs = top_eigenpairs(h, m)
-    width = min(2 * k + 1, m)
+    pairs = top_eigenpairs(h, 2 * k + 2)
     return FrequencyBlock(
         k=k,
         eigenvalues=pairs.values,
-        embedding=pairs.vectors[:, :width],
+        embedding=pairs.vectors[:, : 2 * k + 1],
         isolated=np.diff(h.data.indptr) == 0,  # the empty rows of H^(k)
     )
 
@@ -177,17 +180,24 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     return neighbors, values
 
 
-def evaluate_neighbors(frames: FrameSet, neighbors: np.ndarray) -> dict:
-    """Angular quality of a neighbor assignment against the true frames.
+def neighbor_angles(frames: FrameSet, neighbors: np.ndarray) -> np.ndarray:
+    """Viewing angle in degrees between each vertex and each of its
+    neighbors, in the (n, K) shape of `neighbors`."""
+    dirs = frames.viewing_directions()
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    # a stack of 1x3 @ 3x1 products rounds as the per-pair dirs[i] @ dirs[j]
+    # does; einsum does not
+    cos = dirs[:, None, None, :] @ dirs[neighbors][..., None]
+    return np.degrees(np.arccos(np.clip(cos.reshape(neighbors.shape), -1.0, 1.0)))
+
+
+def angle_stats(angles: np.ndarray) -> dict:
+    """Angular quality of a neighbor assignment from its neighbor_angles.
 
     Returns the per-pair viewing-angle histogram (2 degree bins over
     [0, 180]), the mean angle, and the fractions within 10/20/30 degrees.
     """
-    dirs = frames.viewing_directions()
-    neighbors = np.asarray(neighbors, dtype=np.int64)
-    n, K = neighbors.shape
-    dots = np.einsum("id,ikd->ik", dirs, dirs[neighbors])
-    ang = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))).ravel()
+    ang = np.ravel(angles)
     hist, edges = np.histogram(ang, bins=np.arange(0.0, 180.0 + 2.0, 2.0))
     return {
         "mean_angle_deg": float(np.mean(ang)),

@@ -236,9 +236,8 @@ def test_criterion_7_noise_robustness_ordering():
         blocks = [pipeline.embed(noisy, k) for k in range(1, 11)]
         neighbors, _ = pipeline.knn_streamed(blocks, 50)
         for name, method in (("A1", "A^(1)"), ("A5", "A^(5)"), ("AAll", "A^All")):
-            fracs[name].append(
-                pipeline.evaluate_neighbors(frames, neighbors[method])["frac_le_30"]
-            )
+            angles = pipeline.neighbor_angles(frames, neighbors[method])
+            fracs[name].append(pipeline.angle_stats(angles)["frac_le_30"])
     f1 = float(np.mean(fracs["A1"]))
     f5 = float(np.mean(fracs["A5"]))
     fall = float(np.mean(fracs["AAll"]))

@@ -585,6 +585,58 @@ def test_run_names_graph_without_edges(sim_dir, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+class TestFrameCount:
+    """k_max and knn_k are checked against the frame count before any
+    output directory is made: frequency k needs 2k+4 frames."""
+
+    @pytest.fixture(scope="class")
+    def sim40(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("sim40")
+        cfg = write_config(tmp, seed=2, n_frames=40, cos_threshold=0.5, knn_k=5, k_max=1)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp / "sim")]) == 0
+        return tmp / "sim"
+
+    def run(self, sim40, tmp_path, **settings):
+        cfg = write_config(tmp_path, n_frames=2000, cos_threshold=0.5, **settings)
+        argv = ["run", "--config", cfg, "--frames", str(sim40 / "frames.csv")]
+        argv += ["--graph", str(sim40 / "graph_p1.csv"), "--out", str(tmp_path / "o")]
+        return cli.main(argv)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # all 40 eigenvectors at k = 30 would leave A^All rounding noise
+            ({"k_max": 30, "knn_k": 5}, "k_max 30 needs 2*k_max+4 = 64 frames"),
+            ({"k_max": 19, "knn_k": 5}, "k_max 19 needs 2*k_max+4 = 42 frames"),
+            ({"k_max": 1, "knn_k": 40}, "knn_k 40 must be below the frame count"),
+            ({"k_max": 1}, "knn_k 50 must be below the frame count"),  # the default
+        ],
+    )
+    def test_run(self, sim40, tmp_path, capsys, settings, message):
+        frames, out = sim40 / "frames.csv", tmp_path / "o"
+        assert self.run(sim40, tmp_path, **settings) == 1
+        assert capsys.readouterr().err == f"error: {message}; {frames} has 40\n"
+        assert not out.exists()
+
+    def test_run_at_exactly_2k_plus_4_frames(self, sim40, tmp_path):
+        assert self.run(sim40, tmp_path, k_max=18, knn_k=5) == 0
+        assert (tmp_path / "o" / "spectrum_k18.csv").exists()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"k_max": 30, "knn_k": 5}, "k_max 30 needs 2*k_max+4 = 64 frames; n_frames is 40"),
+            ({"k_max": 1, "knn_k": 40}, "knn_k must satisfy 1 <= knn_k < n_frames"),
+        ],
+    )
+    def test_images(self, tmp_path, capsys, settings, message):
+        cfg = write_config(tmp_path, n_frames=40, cos_threshold=0.8, image_size=9, **settings)
+        out = tmp_path / "img"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_ndimage_unloaded():
     # start-up cost: every mfca process imports the CLI
     src = str(Path(mfca.__file__).resolve().parents[1])
@@ -621,6 +673,15 @@ class TestImages:
         found = set(zip(g.edge_i.tolist(), g.edge_j.tolist()))
         assert metrics["edge_match"] == len(truth & found) / len(truth)
         assert metrics["edge_match"] > 0.0
+        # the image graph's CSV carries the config line too
+        tag = f"# config={cli.ExperimentConfig.from_json(cfg).hash()}"
+        csvs = sorted(out.rglob("*.csv"))
+        assert {p.name for p in csvs} == {
+            "frames.csv", "images_snr8.csv", "image_graph_snr8.csv", "neighbors.csv",
+            "spectrum_k1.csv", "scatter_k1.csv",
+        }
+        for path in csvs:
+            assert tag in path.read_text().splitlines(), path.name
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_index_csv_matches_per_value_format(self, tmp_path, monkeypatch, delta):

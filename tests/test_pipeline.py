@@ -65,7 +65,7 @@ def _edges(graph, index):
 
 class TestBuildH:
     def test_entries(self, clean):
-        h = pipeline.build_H(clean, 2).dense()
+        h = pipeline.build_H(clean, 2).data.toarray()
         degs = graphs.degrees(clean)
         e = 0
         i, j, t = clean.edge_i[e], clean.edge_j[e], clean.theta[e]
@@ -74,11 +74,11 @@ class TestBuildH:
         assert np.isclose(h[j, i], np.exp(-2j * t) / scale, atol=1e-14)
 
     def test_hermitian(self, clean):
-        h = pipeline.build_H(clean, 3).dense()
+        h = pipeline.build_H(clean, 3).data.toarray()
         assert np.allclose(h, h.conj().T)
 
     def test_zero_diagonal(self, clean):
-        h = pipeline.build_H(clean, 1).dense()
+        h = pipeline.build_H(clean, 1).data.toarray()
         assert np.all(np.diag(h) == 0)
 
     def test_rejects_k_zero(self, clean):
@@ -114,11 +114,11 @@ class TestNormalize:
             theta=np.array([0.5]),
             kind=np.zeros(1, dtype=np.int8),
         )
-        hn = pipeline.build_H(g, 1).dense()
+        hn = pipeline.build_H(g, 1).data.toarray()
         assert np.isclose(hn[0, 1], np.exp(0.5j), atol=1e-14)
 
     def test_spectral_radius_at_most_one(self, clean):
-        vals = np.linalg.eigvalsh(pipeline.build_H(clean, 1).dense())
+        vals = np.linalg.eigvalsh(pipeline.build_H(clean, 1).data.toarray())
         assert np.max(np.abs(vals)) <= 1.0 + 1e-9
 
     def test_isolated_row_stays_zero(self):
@@ -129,7 +129,7 @@ class TestNormalize:
             theta=np.array([1.0]),
             kind=np.zeros(1, dtype=np.int8),
         )
-        hn = pipeline.build_H(g, 1).dense()
+        hn = pipeline.build_H(g, 1).data.toarray()
         assert np.all(hn[2] == 0) and np.all(hn[:, 2] == 0)
 
 
@@ -154,6 +154,28 @@ class TestEmbed:
         )
         with pytest.raises(ValueError):
             pipeline.embed(g, 1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_needs_2k_plus_4_vertices(self, k):
+        # 2k+2 eigenpairs by Krylov need 2k+2 < n - 1
+
+        def complete(n):
+            ii, jj = np.triu_indices(n, 1)
+            theta = np.random.default_rng(n).uniform(0.0, 2 * np.pi, ii.size)
+            kind = np.zeros(ii.size, dtype=np.int8)
+            return graphs.ObservationGraph(
+                n_vertices=n, edge_i=ii, edge_j=jj, theta=theta, kind=kind
+            )
+
+        n = 2 * k + 4
+        with pytest.raises(ValueError) as info:
+            pipeline.embed(complete(n - 1), k)
+        assert str(info.value) == (
+            f"frequency k={k} needs 2k+4 = {n} vertices; the graph has {n - 1}"
+        )
+        block = pipeline.embed(complete(n), k)
+        assert block.embedding.shape == (n, 2 * k + 1)
+        assert block.eigenvalues.shape == (2 * k + 2,)
 
 
 class TestAffinity:
@@ -329,21 +351,32 @@ class TestEvaluateNeighbors:
         dirs = frames.viewing_directions()
         dots = dirs @ dirs.T
         nb = pipeline._top_k(dots, 0, 5, np.zeros(400, dtype=bool))
-        stats = pipeline.evaluate_neighbors(frames, nb)
+        stats = pipeline.angle_stats(pipeline.neighbor_angles(frames, nb))
         assert stats["mean_angle_deg"] < 19.2
         assert stats["frac_le_30"] > 0.99
 
     def test_random_neighbors_near_ninety(self, frames):
         rng = np.random.default_rng(7)
         nb = rng.integers(0, 400, size=(400, 5))
-        stats = pipeline.evaluate_neighbors(frames, nb)
+        stats = pipeline.angle_stats(pipeline.neighbor_angles(frames, nb))
         assert abs(stats["mean_angle_deg"] - 90.0) < 2.0
 
     def test_histogram_sums_to_pairs(self, frames):
         nb = np.tile(np.arange(1, 6), (400, 1))
-        stats = pipeline.evaluate_neighbors(frames, nb)
+        stats = pipeline.angle_stats(pipeline.neighbor_angles(frames, nb))
         assert sum(stats["histogram_counts"]) == 400 * 5
         assert stats["histogram_edges_deg"][1] - stats["histogram_edges_deg"][0] == 2.0
+
+    def test_angles_round_as_per_pair_products(self, frames):
+        # neighbors.csv and metrics.json both read these angles, so each must
+        # be bit-identical to the per-pair dirs[i] @ dirs[j]
+        nb = np.random.default_rng(8).integers(0, 400, size=(400, 7))
+        dirs = frames.viewing_directions()
+        ref = [
+            [np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))) for j in row]
+            for i, row in enumerate(nb)
+        ]
+        assert np.array_equal(pipeline.neighbor_angles(frames, nb), np.array(ref))
 
 
 class TestScatter:
