@@ -149,6 +149,8 @@ def cmd_theory(args) -> int:
     for h in hs:
         if not 0.0 < h <= 2.0:  # NaN fails too
             raise ValueError(f"--h: bandwidth {h:g} lies outside (0, 2]")
+    if args.n_extra < 0:
+        raise ValueError(f"--n-extra: {args.n_extra} is below 0")
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     tag = f"# config={cfg.hash()}\n"
@@ -173,8 +175,18 @@ def cmd_theory(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    # wigner raises IndexError for these, which main does not report as bad input
+    if args.ell >= 0 and max(abs(args.m), abs(args.n)) > args.ell:
+        raise ValueError(
+            f"--m {args.m} and --n {args.n} must each lie in [-ell, ell] for --ell {args.ell}"
+        )
     if args.euler is not None:
-        phi, theta, psi = (float(x) for x in args.euler.split(","))
+        try:
+            phi, theta, psi = (float(x) for x in args.euler.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--euler {args.euler!r} must be three angles phi,theta,psi"
+            ) from None
         from .so3 import from_euler
 
         val = wig.wigner_D(args.ell, args.m, args.n, from_euler(phi, theta, psi))
@@ -289,15 +301,16 @@ def cmd_images(args) -> int:
     out = _out_dir(args, cfg)
     _to_csv(frames, out / "frames.csv", cfg)
     phantom = imaging.default_phantom()
-    clean = imaging.project(phantom, frames.frames, L=cfg.image_size)
     geometric_keys = geometric.edge_i * n + geometric.edge_j
     snrs = cfg.snr_values or (float("inf"),)
     for snr in snrs:
+        # each SNR projects its own stack and adds its noise in place, image
+        # by image, so no clean and noisy stack are ever held together
+        imgs = imaging.project(phantom, frames.frames, L=cfg.image_size)
         if np.isinf(snr):
-            imgs, label = clean, "inf"
+            label = "inf"
         else:
-            imgs = np.empty_like(clean)
-            for idx, img in enumerate(clean):
+            for idx, img in enumerate(imgs):
                 imgs[idx] = imaging.add_noise(img, snr, cfg.seed + 10 + idx)
             label = f"{snr:g}"
         imaging.save_images(out / f"images_snr{label}.bin", imgs)
@@ -307,6 +320,7 @@ def cmd_images(args) -> int:
             idx = np.arange(len(imgs))
             write_rows(fh, f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx)
         g = imaging.image_graph(imgs, edge_fraction=clean_frac)
+        del imgs
         _to_csv(g, out / f"image_graph_snr{label}.csv", cfg)
         # share of the geometric graph's edges that the image graph found
         match = float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))

@@ -23,6 +23,25 @@ _KIND_NAMES = np.array(["good", "rewired"])  # indexed by kind code
 _HEADER = "i,j,theta,kind"
 # one character wider than "rewired", so a cut-off kind is never a known one
 _ROW = np.dtype([("i", np.int64), ("j", np.int64), ("theta", float), ("kind", "U8")])
+# Bytes of temporaries that one block of any streamed loop may hold: every
+# loop over rows, images, edges or pairs takes as many as fit, so a run's
+# peak is its live arrays plus one block.
+WORK_BYTES = 2**22
+_ANGLE_BYTES = 3 * 72 + 6 * 8  # two gathered frames and their product, per edge
+
+
+def row_blocks(n: int, row_bytes: int, min_rows: int = 1):
+    """(lo, hi) bounds of consecutive blocks over range(n), each of as many
+    rows as keep row_bytes of temporaries a row within WORK_BYTES, and at
+    least min_rows; a shorter last block is folded into the one before."""
+    step = max(min_rows, WORK_BYTES // row_bytes)
+    lo = 0
+    while lo < n:
+        hi = min(lo + step, n)
+        if n - hi < min_rows:
+            hi = n
+        yield lo, hi
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -140,10 +159,10 @@ def clean_graph(frames: FrameSet, cos_threshold: float) -> ObservationGraph:
         raise ValueError("need at least 2 frames")
     dirs = frames.viewing_directions()
     ii_parts, jj_parts = [], []
-    block = 512
-    for a in range(0, n, block):
-        dots = dirs[a : a + block] @ dirs.T
-        bi, bj = np.nonzero(dots > cos_threshold)
+    # a float64 dot product and a mask per entry; never a one-row block,
+    # whose product BLAS computes with gemv, which rounds unlike gemm
+    for a, b in row_blocks(n, 9 * n, min_rows=2):
+        bi, bj = np.nonzero(dirs[a:b] @ dirs.T > cos_threshold)
         keep = a + bi < bj
         ii_parts.append(a + bi[keep])
         jj_parts.append(bj[keep])
@@ -151,7 +170,9 @@ def clean_graph(frames: FrameSet, cos_threshold: float) -> ObservationGraph:
     # are already sorted by (i, j)
     ii = np.concatenate(ii_parts)
     jj = np.concatenate(jj_parts)
-    theta = alignment_angles(frames.frames, ii, jj) if ii.size else np.empty(0)
+    theta = np.empty(ii.size)
+    for a, b in row_blocks(ii.size, _ANGLE_BYTES):
+        theta[a:b] = alignment_angles(frames.frames, ii[a:b], jj[a:b])
     return ObservationGraph(
         n_vertices=n,
         edge_i=ii,

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ObservationGraph, upper_pairs
+from .graphs import ObservationGraph, row_blocks, upper_pairs
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
 EXTENT = 1.0  # every image spans [-EXTENT, EXTENT]^2
 N_THETA = 360  # angles of the polar grid, which sets the alignment resolution
-ALIGN_BUDGET = 2**20  # complex cross-power entries per row block of image_graph
+# temporaries per pair of an alignment block: the complex cross-powers at
+# every angular frequency and their real correlation at every shift
+_PAIR_BYTES = 16 * (N_THETA // 2 + 1) + 8 * N_THETA
 
 
 @dataclass(frozen=True)
@@ -107,20 +109,24 @@ def project(phantom: Phantom, r: np.ndarray, L: int = DEFAULT_L) -> np.ndarray:
     Each isotropic Gaussian blob integrates in closed form to
     amplitude * sigma * sqrt(2*pi) * exp(-((s-u)^2 + (t-v)^2) / (2 sigma^2))
     with (u, v) the blob center expressed in the in-plane frame given by the
-    first two columns of r.
+    first two columns of r.  Frames are projected in chunks within
+    graphs.WORK_BYTES.
     """
     if L % 2 == 0:
         raise ValueError("L must be odd")
     r = np.asarray(r, dtype=float)
+    stack = r.reshape((-1, 3, 3))
     s = np.linspace(-EXTENT, EXTENT, L)
-    pixels = np.zeros(r.shape[:-2] + (L, L))
-    for c, sigma, amp in phantom.blobs:
-        # rounds as the per-frame c @ r[:, 0] does; einsum or r[..., 0].T do not
-        uv = c @ r[..., :2]
-        gs = np.exp(-((s - uv[..., :1]) ** 2) / (2.0 * sigma * sigma))
-        gt = np.exp(-((s - uv[..., 1:]) ** 2) / (2.0 * sigma * sigma))
-        pixels += amp * sigma * np.sqrt(2.0 * np.pi) * (gs[..., :, None] * gt[..., None, :])
-    return pixels
+    pixels = np.zeros((len(stack), L, L))
+    # per frame: one blob's outer product and its scaled copy
+    for lo, hi in row_blocks(len(stack), 2 * 8 * L * L):
+        for c, sigma, amp in phantom.blobs:
+            # rounds as the per-frame c @ r[:, 0] does; einsum or r[..., 0].T do not
+            uv = c @ stack[lo:hi, :, :2]
+            gs = np.exp(-((s - uv[:, :1]) ** 2) / (2.0 * sigma * sigma))
+            gt = np.exp(-((s - uv[:, 1:]) ** 2) / (2.0 * sigma * sigma))
+            pixels[lo:hi] += amp * sigma * np.sqrt(2.0 * np.pi) * (gs[:, :, None] * gt[:, None, :])
+    return pixels.reshape(r.shape[:-2] + (L, L))
 
 
 def add_noise(pixels: np.ndarray, snr: float, seed: int) -> np.ndarray:
@@ -177,16 +183,18 @@ def _spectra(images) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S[m, :, i] is the conjugate of image i's m-th angular Fourier
     coefficient at every radius, stored so that each frequency's
     cross-powers are one matrix product.  Images are resampled and
-    transformed in chunks of about ALIGN_BUDGET polar samples.
+    transformed in chunks of images within graphs.WORK_BYTES.
     """
     images = _stack(images)
     n_r = images.shape[1] // 2
-    chunk = max(1, ALIGN_BUDGET // (n_r * N_THETA))
-    spectra = np.empty((N_THETA // 2 + 1, n_r, len(images)), dtype=complex)
+    n_m = N_THETA // 2 + 1
+    spectra = np.empty((n_m, n_r, len(images)), dtype=complex)
     weights = np.empty(len(images))
-    for lo in range(0, len(images), chunk):
-        polar, radii = polar_resample(images[lo : lo + chunk])
-        spectra[:, :, lo : lo + chunk] = np.conj(np.fft.rfft(polar, axis=-1)).T
+    # per image: the polar samples and one gathered corner, then the
+    # spectrum and its conjugate
+    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 2 * 16 * n_m)):
+        polar, radii = polar_resample(images[lo:hi])
+        spectra[:, :, lo:hi] = np.conj(np.fft.rfft(polar, axis=-1)).T
         for idx, p in enumerate(polar, start=lo):
             # one sum per image; a row-wise sum over the chunk rounds differently
             weights[idx] = np.sum(radii[:, None] * p**2)
@@ -231,9 +239,9 @@ def image_graph(images, edge_fraction: float) -> ObservationGraph:
 
     The graph keeps every pair whose distance is at or below the
     `edge_fraction` quantile of all pair distances.  Every pair is aligned
-    exactly, over blocks of rows sized by ALIGN_BUDGET; distances and
-    shifts go straight into row-major upper-triangle vectors, so no n x n
-    matrix is built.
+    exactly, over blocks of rows within graphs.WORK_BYTES (at least one
+    row); distances and shifts go straight into row-major upper-triangle
+    vectors, so no n x n matrix is built.
     """
     images = _stack(images)
     n = len(images)
@@ -243,12 +251,10 @@ def image_graph(images, edge_fraction: float) -> ObservationGraph:
         raise ValueError(f"edge_fraction must lie in (0, 1], got {edge_fraction}")
 
     spectra, radii, weights = _spectra(images)
-    rows = max(1, ALIGN_BUDGET // (n * spectra.shape[0]))
     flat = np.empty(n * (n - 1) // 2)
     flat_shift = np.empty(flat.size, dtype=np.int16)  # shifts lie in [0, N_THETA)
     pos = 0
-    for lo in range(0, n - 1, rows):
-        hi = min(lo + rows, n - 1)
+    for lo, hi in row_blocks(n - 1, n * _PAIR_BYTES):
         d, s = _align_rows(spectra, radii, weights, lo, hi)
         # rows lo:hi fill the next contiguous run of the upper triangle
         upper = np.triu(np.ones(d.shape, dtype=bool))

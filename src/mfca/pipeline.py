@@ -8,7 +8,7 @@ one Krylov solve of 2k+2 pairs (so at least 2k+4 vertices), give the
 per-vertex embedding, whose normalized inner products define the affinity
 A^(k).  Affinities multiply across frequencies into the aggregate A^All.
 knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
-of rows, each within ROW_BUDGET entries at any n, so no n x n matrix is built.
+of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigensolver import HermitianMatrix, top_eigenpairs
-from .graphs import ObservationGraph, degrees, upper_pairs
+from .graphs import ObservationGraph, degrees, row_blocks, upper_pairs
 from .so3 import FrameSet
 
-ROW_BLOCK = 256  # most rows per block of the streamed affinity pass
-# most affinity entries per block: ROW_BLOCK rows up to n = 2048, fewer above
-ROW_BUDGET = 2**19
+# temporaries per affinity entry of a K-NN block: the complex product, the
+# affinity, the running A^All product, and _top_k's keys and partition
+_KNN_ENTRY_BYTES = 16 + 4 * 8
 REPORTED_KS = (1, 5, 10)  # frequencies whose own K-NN knn_streamed reports
 GROUP_REL_TOL = 0.02
 
@@ -91,35 +91,21 @@ def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
     )
 
 
-def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
+def _affinity_rows(
+    block: FrequencyBlock, lo: int, hi: int, conj_t: np.ndarray | None = None
+) -> np.ndarray:
     """Rows lo:hi of A^(k) from the block's unit embedding rows:
     |<Psi(i), Psi(j)>| clipped to [0, 1], with diagonal 1 (0 at isolated
-    vertices, whose rows are zero)."""
+    vertices, whose rows are zero).  conj_t, the rows' conjugate transpose,
+    is computed here unless given."""
     rows = block.embedding
-    a = np.abs(rows[lo:hi] @ rows.conj().T)
+    if conj_t is None:
+        conj_t = rows.conj().T
+    a = np.abs(rows[lo:hi] @ conj_t)
     np.clip(a, 0.0, 1.0, out=a)
     r = np.arange(lo, hi)
     a[r - lo, r] = np.where(block.isolated[lo:hi], 0.0, 1.0)
     return a
-
-
-def _row_blocks(n: int):
-    """(lo, hi) bounds of consecutive blocks of ROW_BLOCK rows, or of as many
-    as keep a block of n columns within ROW_BUDGET entries, if fewer.
-
-    A one-row block is folded into the block before it: numpy computes a
-    one-row product with BLAS gemv, which rounds differently from gemm, and
-    every block size must round alike, so that neither the neighbors nor the
-    affinities written depend on the blocking.
-    """
-    step = max(2, min(ROW_BLOCK, ROW_BUDGET // n))  # never a one-row block
-    lo = 0
-    while lo < n:
-        hi = min(lo + step, n)
-        if n - hi == 1:
-            hi = n
-        yield lo, hi
-        lo = hi
 
 
 def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
@@ -147,7 +133,8 @@ def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
 
 def knn_streamed(blocks: list, K: int) -> tuple:
     """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
-    in one pass over blocks of rows, so no n x n matrix is built.
+    in one pass over blocks of rows within graphs.WORK_BYTES, so no n x n
+    matrix is built; each embedding is conjugated once for the whole pass.
 
     Each row block of A^All is multiplied up in the order of `blocks`, which
     reproduces np.prod over a stacked array bit for bit.  Returns a dict of
@@ -165,10 +152,14 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     neighbors = {name: np.empty((n, K), dtype=np.int64) for name in names.values()}
     neighbors["A^All"] = nb_all = np.empty((n, K), dtype=np.int64)
     values = np.empty((n, K))
-    for lo, hi in _row_blocks(n):
+    conj_ts = [b.embedding.conj().T for b in blocks]
+    # never a one-row block: numpy computes a one-row product with BLAS
+    # gemv, which rounds unlike gemm, and the neighbors and affinities
+    # written must not depend on the blocking
+    for lo, hi in row_blocks(n, _KNN_ENTRY_BYTES * n, min_rows=2):
         prod = None
-        for b in blocks:
-            a = _affinity_rows(b, lo, hi)
+        for b, conj_t in zip(blocks, conj_ts):
+            a = _affinity_rows(b, lo, hi, conj_t)
             if b.k in names:
                 neighbors[names[b.k]][lo:hi] = _top_k(a, lo, K, iso)
             if prod is None:
@@ -212,7 +203,8 @@ def angle_stats(angles: np.ndarray) -> dict:
 def scatter_data(
     block: FrequencyBlock, frames: FrameSet, sample: int, seed: int
 ) -> np.ndarray:
-    """Seeded sample of unordered pairs with (A^(k)_ij, ((<pi_i,pi_j>+1)/2)^k)."""
+    """Seeded sample of unordered pairs with (A^(k)_ij, ((<pi_i,pi_j>+1)/2)^k),
+    gathered in chunks of pairs within graphs.WORK_BYTES."""
     n = block.n
     total = n * (n - 1) // 2
     if sample > total:
@@ -221,10 +213,16 @@ def scatter_data(
     flat = rng.choice(total, size=sample, replace=False)
     ii, jj = upper_pairs(flat, n)
     dirs = frames.viewing_directions()
-    target = ((np.einsum("pd,pd->p", dirs[ii], dirs[jj]) + 1.0) / 2.0) ** block.k
     unit = block.embedding
-    aff = np.abs(np.einsum("pd,pd->p", unit[ii], unit[jj].conj()))
-    return np.column_stack([aff, target])
+    out = np.empty((sample, 2))
+    # per pair: two gathered embedding rows and a conjugate, and two
+    # gathered directions
+    pair_bytes = 3 * 16 * unit.shape[1] + 2 * 8 * 3
+    for lo, hi in row_blocks(sample, pair_bytes):
+        i, j = ii[lo:hi], jj[lo:hi]
+        out[lo:hi, 0] = np.abs(np.einsum("pd,pd->p", unit[i], unit[j].conj()))
+        out[lo:hi, 1] = ((np.einsum("pd,pd->p", dirs[i], dirs[j]) + 1.0) / 2.0) ** block.k
+    return out
 
 
 def group_eigenvalues(values: np.ndarray, rel_tol: float = GROUP_REL_TOL) -> list:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mfca
-from mfca import cli, csvio, graphs, pipeline, so3, spectral, wigner
+from mfca import cli, csvio, graphs, imaging, pipeline, so3, spectral, wigner
 
 
 def write_config(tmp_path, **kwargs):
@@ -127,6 +127,14 @@ class TestTheory:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_rejects_negative_n_extra_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        argv = ["theory", "--k", "1", "--h", "0.5", "--n-extra", "-1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --n-extra: -1 is below 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["1.5:0.5:2", "0.18:0.07:2.0"])
     def test_h_range_up_to_two(self, tmp_path, spec):
         # 0.18 + 26 * 0.07 rounds to 2.0000000000000004; the range stops at 2
@@ -158,6 +166,21 @@ class TestWigner:
 
     def test_bad_ell_returns_1(self, capsys):
         assert cli.main(["wigner", "--ell", "100", "--m", "0", "--n", "0"]) == 1
+
+    @pytest.mark.parametrize("m, n", [("2", "0"), ("0", "-2"), ("-3", "3")])
+    def test_out_of_range_indices_name_the_flags(self, tmp_path, monkeypatch, capsys, m, n):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["wigner", "--ell", "1", "--m", m, "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --m {m} and --n {n} must each lie in [-ell, ell] for --ell 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("euler", ["1,2", "1,2,3,4", "1,x,3"])
+    def test_bad_euler_names_the_flag(self, capsys, euler):
+        argv = ["wigner", "--ell", "1", "--m", "0", "--n", "0", "--euler", euler]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --euler {euler!r} must be three angles phi,theta,psi\n"
 
 
 class TestSimulate:
@@ -709,6 +732,29 @@ class TestImages:
         assert "geometric graph is empty" in err
         assert "cos_threshold 0.9999" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "snrs", [[16.0, 4.0], ["inf", 16.0], [16.0, "inf"]], ids=["16-4", "inf-16", "16-inf"]
+    )
+    def test_each_snr_stack_is_noise_on_its_projection(self, tmp_path, snrs):
+        # Python's json writes and reads inf as Infinity
+        snrs = [float(s) for s in snrs]
+        cfg = write_config(
+            tmp_path, seed=3, n_frames=24, cos_threshold=0.8, knn_k=3, k_max=1,
+            image_size=9, snr_values=snrs,
+        )
+        out = tmp_path / "img"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 0
+        frames = so3.sample_uniform(3, 24).frames
+        clean = [imaging.project(imaging.default_phantom(), r, L=9) for r in frames]
+        for snr in snrs:
+            label = "inf" if np.isinf(snr) else f"{snr:g}"
+            want = [
+                img if np.isinf(snr) else imaging.add_noise(img, snr, 3 + 10 + idx)
+                for idx, img in enumerate(clean)
+            ]
+            got = imaging.load_images(out / f"images_snr{label}.bin")
+            assert np.array_equal(got, np.array(want)), label
 
     def test_noiseless_label(self, tmp_path):
         cfg = write_config(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -168,6 +170,51 @@ class TestCleanGraph:
         fs = so3.FrameSet(frames=np.eye(3)[None])
         with pytest.raises(ValueError):
             graphs.clean_graph(fs, 0.9)
+
+    def test_blocks_match_one_whole_array_call(self, monkeypatch):
+        fs = so3.sample_uniform(6, 700)
+        whole = graphs.clean_graph(fs, 0.9)  # at the default budget
+        # 18 row blocks of dot products and 13 chunks of angles
+        monkeypatch.setattr(graphs, "WORK_BYTES", 1000 * graphs._ANGLE_BYTES)
+        g = graphs.clean_graph(fs, 0.9)
+        assert g.n_edges > 3000
+        assert np.array_equal(g.edge_i, whole.edge_i)
+        assert np.array_equal(g.edge_j, whole.edge_j)
+        assert np.array_equal(g.theta, whole.theta)
+        assert np.array_equal(g.theta, so3.alignment_angles(fs.frames, g.edge_i, g.edge_j))
+
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_memory_within_the_budget(self, monkeypatch, n):
+        # above the edge lists, their concatenation and the graph's checks
+        # (about 56 bytes an edge), one block; the angles of all 450k edges
+        # at n = 6000 at once took about 119 MB
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
+        fs = so3.sample_uniform(8, n)
+        tracemalloc.start()
+        try:
+            g = graphs.clean_graph(fs, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 56 * g.n_edges < 2 * graphs.WORK_BYTES
+
+
+class TestRowBlocks:
+    def test_rows_follow_the_budget(self, monkeypatch):
+        monkeypatch.setattr(graphs, "WORK_BYTES", 1000)
+        assert list(graphs.row_blocks(25, 100)) == [(0, 10), (10, 20), (20, 25)]
+        assert list(graphs.row_blocks(21, 100)) == [(0, 10), (10, 20), (20, 21)]
+        assert list(graphs.row_blocks(0, 100)) == []
+
+    def test_short_last_block_is_folded(self, monkeypatch):
+        monkeypatch.setattr(graphs, "WORK_BYTES", 1000)
+        assert list(graphs.row_blocks(21, 100, min_rows=2)) == [(0, 10), (10, 21)]
+        assert list(graphs.row_blocks(20, 100, min_rows=2)) == [(0, 10), (10, 20)]
+
+    def test_rows_over_the_budget_take_the_minimum(self, monkeypatch):
+        monkeypatch.setattr(graphs, "WORK_BYTES", 1000)
+        assert list(graphs.row_blocks(3, 5000)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(graphs.row_blocks(5, 5000, min_rows=2)) == [(0, 2), (2, 5)]
 
 
 @pytest.fixture(scope="module")

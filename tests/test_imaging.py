@@ -18,6 +18,16 @@ def haar(seed, n=1):
     return so3.sample_uniform(seed, n).frames
 
 
+def _traced(fn):
+    """(tracemalloc peak in bytes while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def reference_polar(pixels, extent=imaging.EXTENT):
     """Independent oracle: the polar samples of one (L, L) image on
     [-extent, extent]^2 from scipy's bilinear map_coordinates, the per-image
@@ -134,6 +144,21 @@ class TestProject:
         nested = imaging.project(phantom, frames.reshape(5, 10, 3, 3), L=L)
         assert np.array_equal(nested.reshape(stack.shape), stack)
 
+    def test_chunks_match_one_chunk(self, phantom, monkeypatch):
+        frames = haar(41, 50)
+        whole = imaging.project(phantom, frames, L=17)
+        # chunks of 7 frames leave a one-frame last chunk
+        monkeypatch.setattr(graphs, "WORK_BYTES", 7 * 2 * 8 * 17 * 17)
+        assert np.array_equal(imaging.project(phantom, frames, L=17), whole)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_memory_within_the_budget(self, phantom, monkeypatch, n):
+        # the whole stack at once held two stack-sized temporaries per blob
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
+        frames = haar(42, n)
+        peak, out = _traced(lambda: imaging.project(phantom, frames, L=65))
+        assert peak - out.nbytes < 2 * graphs.WORK_BYTES
+
 
 class TestAddNoise:
     def test_high_snr_is_near_clean(self, phantom):
@@ -201,13 +226,31 @@ class TestPolarResample:
         # chunks of 3 images over 7 leave a one-image last chunk
         clean = imaging.project(phantom, haar(31, 7), L=L)
         imgs = np.array([imaging.add_noise(img, 8.0, s) for s, img in enumerate(clean)])
-        monkeypatch.setattr(imaging, "ALIGN_BUDGET", 3 * (L // 2) * imaging.N_THETA)
+        # per image: two float64 polar arrays and two complex spectra
+        n_m = imaging.N_THETA // 2 + 1
+        per_image = (L // 2) * (2 * 8 * imaging.N_THETA + 2 * 16 * n_m)
+        monkeypatch.setattr(graphs, "WORK_BYTES", 3 * per_image)
+        chunks = []
+        resample = imaging.polar_resample
+        monkeypatch.setattr(
+            imaging, "polar_resample", lambda chunk: chunks.append(len(chunk)) or resample(chunk)
+        )
         spectra, radii, weights = imaging._spectra(imgs)
+        assert chunks == [3, 3, 1]
         for idx, img in enumerate(imgs):
             ref, ref_radii = reference_polar(img)
             assert np.array_equal(radii, ref_radii)
             assert np.array_equal(spectra[:, :, idx], np.conj(np.fft.rfft(ref, axis=1)).T)
             assert weights[idx] == np.sum(ref_radii[:, None] * ref**2)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_spectra_memory_within_the_budget(self, phantom, monkeypatch, n):
+        # above the spectra and weights, one chunk of images and the fixed
+        # polar grid (about 1 MB at L = 65)
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
+        imgs = imaging.project(phantom, haar(43, n), L=65)
+        peak, (spectra, _, weights) = _traced(lambda: imaging._spectra(imgs))
+        assert peak - spectra.nbytes - weights.nbytes < 2 * graphs.WORK_BYTES
 
 
 class TestRidDistance:
@@ -343,8 +386,7 @@ class TestImageGraph:
         # 79 rows hold pairs: blocks of 5 leave a 4-row last block, blocks
         # of 6 a one-row last block
         _, imgs = setup
-        per_row = 80 * (imaging.N_THETA // 2 + 1)
-        monkeypatch.setattr(imaging, "ALIGN_BUDGET", rows * per_row)
+        monkeypatch.setattr(graphs, "WORK_BYTES", rows * 80 * imaging._PAIR_BYTES)
         ref = _reference_image_graph(imgs, 0.1)
         g = imaging.image_graph(imgs, edge_fraction=0.1)
         assert np.array_equal(g.edge_i, ref.edge_i)
@@ -368,7 +410,7 @@ class TestImageGraph:
         # float64 distances, int16 shifts and the quantile's copy of the
         # distances, about 21 bytes a pair here; int64 shifts and
         # np.triu_indices took about 35
-        monkeypatch.setattr(imaging, "ALIGN_BUDGET", 2**18)
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)  # one row a block
         n = 2000
         imgs = imaging.project(phantom, haar(3, n), L=5)
         tracemalloc.start()
@@ -378,6 +420,17 @@ class TestImageGraph:
         finally:
             tracemalloc.stop()
         assert peak < 27 * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_memory_within_the_budget(self, phantom, monkeypatch, n):
+        # above the spectra and the per-pair arrays (float64 distances,
+        # int16 shifts, the quantile's copy), one block of rows: two rows
+        # at n = 300, one at n = 600
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**22)
+        imgs = imaging.project(phantom, haar(44, n), L=65)
+        spectra = imaging._spectra(imgs)[0].nbytes
+        peak, _ = _traced(lambda: imaging.image_graph(imgs, edge_fraction=0.05))
+        assert peak - spectra - 26 * n * (n - 1) // 2 < 2 * graphs.WORK_BYTES
 
     @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
     def test_rejects_edge_fraction_outside_unit_interval(self, setup, frac):

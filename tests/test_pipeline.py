@@ -47,6 +47,16 @@ def two_step_H(graph, k):
     return d @ h @ d
 
 
+def _traced(fn):
+    """(tracemalloc peak in bytes while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def affinity(block):
     """The whole n x n A^(k), from the rows the streamed K-NN computes."""
     return pipeline._affinity_rows(block, 0, block.n)
@@ -295,7 +305,7 @@ class TestKnnStreamed:
         ],
     )
     def test_matches_dense_path(self, monkeypatch, n, isolated, constant, K):
-        monkeypatch.setattr(pipeline, "ROW_BLOCK", 8)
+        monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * n)
         blocks = _random_blocks(n, range(1, 11), 5, isolated, constant)
         iso = blocks[0].isolated
         mats = [affinity(b) for b in blocks]
@@ -316,33 +326,39 @@ class TestKnnStreamed:
     def test_memory_is_row_blocked(self):
         # ten n x n float64 affinities alone would take 320 MB at n = 2000
         blocks = _random_blocks(2000, range(1, 11), 11)
-        tracemalloc.start()
-        try:
-            pipeline.knn_streamed(blocks, 50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
         assert peak < 64 * 2**20
 
     def test_memory_stays_flat_in_n(self):
-        # 256-row blocks peaked at 75 MB here; 27 MB is the n = 2000 peak
-        # of the test above
+        # 256-row blocks peaked at 75 MB here and blocks within the work
+        # budget at about 13 MB; the test above peaks at about 11 MB
         blocks = _random_blocks(8000, (1, 2), 12)
-        tracemalloc.start()
-        try:
-            pipeline.knn_streamed(blocks, 50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
         assert peak < 40 * 2**20
 
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_memory_within_the_budget(self, monkeypatch, n):
+        # what the pass keeps (the conjugated embeddings and the outputs)
+        # plus one block, which measured about 0.8 WORK_BYTES at both sizes
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
+        blocks = _random_blocks(n, range(1, 11), 13)
+        kept = sum(b.embedding.nbytes for b in blocks) + 5 * n * 50 * 8
+        peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
+        assert peak - kept < 2 * graphs.WORK_BYTES
+
     def test_block_rows_follow_the_budget(self):
-        assert list(pipeline._row_blocks(600)) == [(0, 256), (256, 512), (512, 600)]
-        assert list(pipeline._row_blocks(2048))[0] == (0, 256)
-        blocks = list(pipeline._row_blocks(8000))
-        assert blocks[0] == (0, pipeline.ROW_BUDGET // 8000)
-        assert all(hi - lo >= 2 for lo, hi in blocks)
-        assert blocks[-1][1] == 8000
+        def knn_blocks(n):
+            return list(graphs.row_blocks(n, pipeline._KNN_ENTRY_BYTES * n, min_rows=2))
+
+        step = graphs.WORK_BYTES // (pipeline._KNN_ENTRY_BYTES * 600)
+        assert knn_blocks(600)[:2] == [(0, step), (step, 2 * step)]
+        for n in (600, 2048, 16000, 10**6):
+            blocks = knn_blocks(n)
+            assert all(hi - lo >= 2 for lo, hi in blocks)  # never gemv
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+        # one row of a million columns is over the budget: two rows a block
+        assert knn_blocks(10**6)[0] == (0, 2)
 
 
 class TestEvaluateNeighbors:
@@ -398,6 +414,36 @@ class TestScatter:
     def test_sample_cap(self, blocks, frames):
         with pytest.raises(ValueError):
             pipeline.scatter_data(blocks[0], frames, 400 * 399, 0)
+
+    @pytest.mark.parametrize("sample", [30, 35])
+    def test_chunks_match_one_gather(self, blocks, frames, monkeypatch, sample):
+        # chunks of 7 pairs: 35 divides into five, 30 leaves a partial last
+        # chunk of 2
+        unit = blocks[2].embedding
+        monkeypatch.setattr(graphs, "WORK_BYTES", 7 * (3 * 16 * unit.shape[1] + 2 * 8 * 3))
+        data = pipeline.scatter_data(blocks[2], frames, sample, 4)
+        flat = np.random.default_rng(4).choice(400 * 399 // 2, size=sample, replace=False)
+        ii, jj = graphs.upper_pairs(flat, 400)
+        dirs = frames.viewing_directions()
+        target = ((np.einsum("pd,pd->p", dirs[ii], dirs[jj]) + 1.0) / 2.0) ** 3
+        aff = np.abs(np.einsum("pd,pd->p", unit[ii], unit[jj].conj()))
+        assert np.array_equal(data, np.column_stack([aff, target]))
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_memory_within_the_budget(self, monkeypatch, n):
+        # above the sampled positions and the output, one chunk of pairs
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
+        fs = so3.sample_uniform(14, n)
+        emb = np.random.default_rng(14).standard_normal((n, 21)) + 0j
+        block = pipeline.FrequencyBlock(
+            k=10, eigenvalues=np.zeros(22), embedding=emb, isolated=np.zeros(n, dtype=bool)
+        )
+        sample, total = 20000, n * (n - 1) // 2
+        # the draw of positions (which may shuffle all n(n-1)/2 of them) is
+        # not chunked; the positions, pairs and output are 8 float64 a pair
+        drawn, _ = _traced(lambda: np.random.default_rng(3).choice(total, sample, replace=False))
+        peak, _ = _traced(lambda: pipeline.scatter_data(block, fs, sample, 3))
+        assert peak - drawn - 8 * 8 * sample < 2 * graphs.WORK_BYTES
 
 
 class TestSpectrum:
