@@ -36,6 +36,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _label(value: float) -> str:
+    """The file label of a p or SNR value: graph_p<label>.csv,
+    images_snr<label>.bin and the like (inf for a noiseless SNR)."""
+    return f"{value:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
@@ -79,6 +85,17 @@ class ExperimentConfig:
             raise ConfigError("image_size must be odd and >= 3")
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "snr_values", tuple(float(s) for s in self.snr_values))
+        for name in _LIST_FIELDS:
+            # each value names its own files, so two values with one label
+            # would write the second's files over the first's
+            seen = {}
+            for value in getattr(self, name):
+                label = _label(value)
+                if label in seen:
+                    raise ConfigError(
+                        f"{name} {seen[label]!r} and {value!r} both label their files {label!r}"
+                    )
+                seen[label] = value
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -212,16 +229,17 @@ def cmd_simulate(args) -> int:
     clean = graphs.clean_graph(frames, cfg.cos_threshold)
     for p in cfg.p_values:
         g = clean if p == 1.0 else graphs.rewire(clean, p, cfg.seed + 1)
-        _to_csv(g, out / f"graph_p{p:g}.csv", cfg)
+        _to_csv(g, out / f"graph_p{_label(p)}.csv", cfg)
     return 0
 
 
 def _run_pipeline(
-    frames: FrameSet, graph, cfg: ExperimentConfig, out: Path, edge_match=None
+    frames: FrameSet, graph, cfg: ExperimentConfig, out: Path, image_metrics=None
 ):
     """Embed, take nearest neighbours, and write every artifact under out;
-    prints one summary line per method.  `edge_match`, when given, is
-    recorded in metrics.json and printed too."""
+    prints one summary line per method.  `image_metrics`, when given, is a
+    dict of entries for metrics.json, such as `edge_match`, which is
+    printed too."""
     tag = f"# config={cfg.hash()}\n"
     blocks = [pipeline.embed(graph, k) for k in range(1, cfg.k_max + 1)]
     for block in blocks:
@@ -250,10 +268,9 @@ def _run_pipeline(
         fh.write(tag)
         jj, ang = neighbors["A^All"].ravel(), angles["A^All"].ravel()
         write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", ii, ranks, jj, values.ravel(), ang)
-    result = {"config": cfg.hash(), "methods": metrics}
-    if edge_match is not None:
-        result["edge_match"] = edge_match
-        print(f"{out}: edge match {edge_match:.3f}")
+    result = {"config": cfg.hash(), "methods": metrics, **(image_metrics or {})}
+    if "edge_match" in result:
+        print(f"{out}: edge match {result['edge_match']:.3f}")
     with open(out / "metrics.json", "w") as fh:
         json.dump(result, fh, indent=1)
     for name, stats in metrics.items():
@@ -307,26 +324,27 @@ def cmd_images(args) -> int:
         # each SNR projects its own stack and adds its noise in place, image
         # by image, so no clean and noisy stack are ever held together
         imgs = imaging.project(phantom, frames.frames, L=cfg.image_size)
-        if np.isinf(snr):
-            label = "inf"
-        else:
+        if not np.isinf(snr):
             for idx, img in enumerate(imgs):
                 imgs[idx] = imaging.add_noise(img, snr, cfg.seed + 10 + idx)
-            label = f"{snr:g}"
+        label = _label(snr)
         imaging.save_images(out / f"images_snr{label}.bin", imgs)
         with open(out / f"images_snr{label}.csv", "w") as fh:
             fh.write("index,seed,snr\n")
             fh.write(f"# config={cfg.hash()}\n")
             idx = np.arange(len(imgs))
             write_rows(fh, f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx)
-        g = imaging.image_graph(imgs, edge_fraction=clean_frac)
+        g, basis = imaging.image_graph(imgs, edge_fraction=clean_frac)
         del imgs
         _to_csv(g, out / f"image_graph_snr{label}.csv", cfg)
         # share of the geometric graph's edges that the image graph found
         match = float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))
         sub = out / f"snr{label}"
         sub.mkdir(exist_ok=True)
-        _run_pipeline(frames, g, cfg, sub, edge_match=match)
+        _run_pipeline(
+            frames, g, cfg, sub,
+            image_metrics={"edge_match": match, "image_basis": basis.summary()},
+        )
     return 0
 
 

@@ -1,7 +1,9 @@
 """Analytic-phantom projection imaging: closed-form tomographic projections
-of a sum-of-Gaussians density, additive noise at a target SNR, rotationally
-invariant distances with in-plane alignment estimation, and construction of
-an observation graph from images alone.
+of a sum-of-Gaussians density, additive noise at a target SNR, a
+per-frequency principal-component basis of the images' polar spectra with
+ranks set by the noise, rotationally invariant distances with in-plane
+alignment estimation in that basis, and construction of an observation
+graph from images alone.
 
 An image stack is one float64 (n, L, L) array with L odd, so a center pixel
 exists.  Pixel convention: pixels[a, b] = I(s_a, t_b) with s, t running over
@@ -11,20 +13,31 @@ coordinate).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
+from . import graphs
 from .graphs import ObservationGraph, row_blocks, upper_pairs
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
 EXTENT = 1.0  # every image spans [-EXTENT, EXTENT]^2
 N_THETA = 360  # angles of the polar grid, which sets the alignment resolution
-# temporaries per pair of an alignment block: the complex cross-powers at
-# every angular frequency and their real correlation at every shift
-_PAIR_BYTES = 16 * (N_THETA // 2 + 1) + 8 * N_THETA
+N_M = N_THETA // 2 + 1  # angular frequencies m = 0..N_THETA/2 of a polar image
+# The top quarter of the frequencies, m >= NOISE_BAND, where the phantom's
+# blobs, each a few pixels wide or more, have no energy: there the images'
+# Gram matrices measure the noise alone.
+NOISE_BAND = 3 * N_THETA // 8
+FALSE_ALARM = 0.01  # chance that pure noise keeps a component at any m
+_BAND = 5  # ring offsets -2..2, the only ones whose samples share a pixel
+# temporaries per entry of a block of the gather's B B^T: its CSR and COO
+# indices and value, the ring and angle of both samples, and the key
+_KERNEL_ENTRY_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -85,8 +98,8 @@ def default_phantom() -> Phantom:
 
 def _stack(images) -> np.ndarray:
     """images as one float64 (n, L, L) array of square images with odd L,
-    the one shape that polar_resample, _spectra, image_graph and
-    rid_distance accept; anything else raises a ValueError naming it."""
+    the one shape that polar_resample, image_basis and image_graph accept;
+    anything else raises a ValueError naming it."""
     try:
         stack = np.asarray(images, dtype=float)
     except ValueError:
@@ -141,6 +154,28 @@ def add_noise(pixels: np.ndarray, snr: float, seed: int) -> np.ndarray:
     return pixels + noise
 
 
+def _polar_grid(L: int):
+    """The radii of the polar grid of an L x L image, the flat index of each
+    sample's (a0, b0) corner pixel, and per corner of the bilinear gather
+    its offset from that pixel and its two weights, each (L // 2, N_THETA).
+
+    The grid's rings lie one pixel apart, so two samples share a corner
+    pixel only if their rings are at most 2 apart.
+    """
+    n_r = L // 2
+    radii = (np.arange(n_r) + 0.5) * EXTENT / n_r
+    angles = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
+    x = radii[:, None] * np.cos(angles)[None, :]
+    y = radii[:, None] * np.sin(angles)[None, :]
+    step = 2.0 * EXTENT / (L - 1)
+    ca, cb = (x + EXTENT) / step, (y + EXTENT) / step
+    a0, b0 = np.floor(ca), np.floor(cb)
+    wa1, wb1 = ca - a0, cb - b0
+    wa0, wb0 = 1.0 - wa1, 1.0 - wb1
+    flat = a0.astype(np.intp) * L + b0.astype(np.intp)
+    return radii, flat, ((0, wa0, wb0), (1, wa0, wb1), (L, wa1, wb0), (L + 1, wa1, wb1))
+
+
 def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear resampling of an (n, L, L) image stack onto one
     (L // 2, N_THETA) polar grid, as a single gather over the pixels.
@@ -155,20 +190,10 @@ def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
     """
     images = _stack(images)
     n, L = images.shape[:2]
-    n_r = L // 2
-    radii = (np.arange(n_r) + 0.5) * EXTENT / n_r
-    angles = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
-    x = radii[:, None] * np.cos(angles)[None, :]
-    y = radii[:, None] * np.sin(angles)[None, :]
-    step = 2.0 * EXTENT / (L - 1)
-    ca, cb = (x + EXTENT) / step, (y + EXTENT) / step
-    a0, b0 = np.floor(ca), np.floor(cb)
-    wa1, wb1 = ca - a0, cb - b0
-    wa0, wb0 = 1.0 - wa1, 1.0 - wb1
-    flat = a0.astype(np.intp) * L + b0.astype(np.intp)
+    radii, flat, corners = _polar_grid(L)
     pixels = images.reshape(n, L * L)
-    polar = np.zeros((n, n_r, N_THETA))
-    for offset, wa, wb in ((0, wa0, wb0), (1, wa0, wb1), (L, wa1, wb0), (L + 1, wa1, wb1)):
+    polar = np.zeros((n, len(radii), N_THETA))
+    for offset, wa, wb in corners:
         corner = pixels[:, flat + offset]
         corner *= wa
         corner *= wb
@@ -176,72 +201,272 @@ def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
     return polar, radii
 
 
-def _spectra(images) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conjugated angular spectra S of shape (N_THETA//2+1, n_r, n), the
-    radii, and the radially weighted energies of the polar images.
+def _angular_spectra(images):
+    """(lo, hi, z) over chunks of the checked stack `images`, each within
+    graphs.WORK_BYTES and never of one image, with z of shape
+    (N_M, L // 2, hi - lo) and z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)),
+    F_i(m, r) being image i's m-th angular Fourier coefficient on the ring
+    of radius r.  Then z_i(m)^H z_j(m) = sum_r r F_i(m, r) conj(F_j(m, r)),
+    the radially weighted cross-power of images i and j at frequency m.
+    """
+    n_r = images.shape[1] // 2
+    # per image: the polar samples and one gathered corner, then the
+    # spectrum, its transposed copy and that copy's conjugate
+    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M), min_rows=2):
+        polar, radii = polar_resample(images[lo:hi])
+        spectra = np.fft.rfft(polar, axis=-1)
+        del polar
+        np.conj(spectra, out=spectra)
+        spectra *= np.sqrt(radii)[:, None]
+        yield lo, hi, np.ascontiguousarray(spectra.transpose(2, 1, 0))
 
-    S[m, :, i] is the conjugate of image i's m-th angular Fourier
-    coefficient at every radius, stored so that each frequency's
-    cross-powers are one matrix product.  Images are resampled and
-    transformed in chunks of images within graphs.WORK_BYTES.
+
+def _noise_gram(L: int) -> np.ndarray:
+    """The (N_M, L // 2, L // 2) covariances N_m = E[z(m) z(m)^H] of
+    _angular_spectra's z for one L x L image of unit-variance white noise,
+    in closed form.
+
+    The gather is a sparse matrix B from pixels to polar samples, so the
+    samples' covariance is B B^T, and z(m)_r = sqrt(r) sum_t p(r, t)
+    e^{2 pi i m t / N_THETA} gives N_m[r, s] = sqrt(r s) sum_D h[r, s, D]
+    e^{2 pi i m D / N_THETA}, with h[r, s, D] the sum of B B^T over the
+    sample pairs (r, t), (s, t - D).  Rings more than 2 apart share no
+    pixel, so h is held as a band.  B B^T is formed in blocks of samples
+    within graphs.WORK_BYTES.
+    """
+    radii, flat, corners = _polar_grid(L)
+    n_r = len(radii)
+    samples = np.repeat(np.arange(flat.size), len(corners))
+    pixels = np.stack([flat.ravel() + offset for offset, _, _ in corners], axis=1).ravel()
+    weights = np.stack([(wa * wb).ravel() for _, wa, wb in corners], axis=1).ravel()
+    gather = sp.csr_matrix((weights, (samples, pixels)), shape=(flat.size, L * L))
+    gather_t = gather.T.tocsr()
+    # a row of B B^T holds at most as many entries as its corner pixels
+    # have gathering samples
+    reach = np.bincount(pixels, minlength=L * L)[pixels].reshape(-1, len(corners)).sum(axis=1)
+    # both grids map onto themselves under a quarter turn, so the samples
+    # of one quadrant give h / 4
+    quadrant = (np.arange(n_r)[:, None] * N_THETA + np.arange(N_THETA // 4)).ravel()
+    gather_q = gather[quadrant]
+    band = np.zeros(n_r * _BAND * N_THETA)
+    for lo, hi in row_blocks(quadrant.size, _KERNEL_ENTRY_BYTES * int(reach.max())):
+        block = (gather_q[lo:hi] @ gather_t).tocoo()
+        r, t = np.divmod(quadrant[lo + block.row], N_THETA)
+        s, u = np.divmod(block.col, N_THETA)
+        key = (r * _BAND + s - r + _BAND // 2) * N_THETA + (t - u) % N_THETA
+        band += np.bincount(key, weights=block.data, minlength=band.size)
+    band *= 4.0
+    spectra = np.conj(np.fft.rfft(band.reshape(n_r, _BAND, N_THETA), axis=-1))
+    gram = np.zeros((N_M, n_r, n_r), dtype=complex)
+    for d in range(-(_BAND // 2), _BAND // 2 + 1):
+        r = np.arange(max(0, -d), n_r - max(0, d))
+        gram[:, r, r + d] = (spectra[r, d + _BAND // 2] * np.sqrt(radii[r] * radii[r + d])[:, None]).T
+    return gram
+
+
+def _noise_edge(n: int, p: int) -> float:
+    """The eigenvalue that pure noise of unit variance exceeds, at any of
+    the N_M frequencies, with probability about FALSE_ALARM: for the Gram
+    matrix (1/n) sum_i w_i w_i^H of n white p-vectors,
+
+        edge = ((sqrt(n) + sqrt(p))^2
+                + s (sqrt(n) + sqrt(p)) (1/sqrt(n) + 1/sqrt(p))^(1/3)) / n,
+
+    the Marchenko-Pastur edge (1 + sqrt(p/n))^2 plus s scales of its
+    Tracy-Widom fluctuation (Johnstone, Ann. Statist. 2001), where s solves
+    the right tail of the real (beta = 1) Tracy-Widom law,
+
+        exp(-(2/3) s^(3/2)) / (4 sqrt(pi) s^(3/2)) = FALSE_ALARM / N_M.
+
+    The real law's tail is the heavier one, so the edge holds for the
+    complex frequencies 0 < m < N_THETA / 2 too.
+    """
+    tail = FALSE_ALARM / N_M
+    u = 1.0  # u = s^(3/2), the fixed point of a contraction
+    for _ in range(50):
+        u = 1.5 * (-np.log(tail) - np.log(4.0 * np.sqrt(np.pi) * u))
+    s = u ** (2.0 / 3.0)
+    a, b = np.sqrt(n), np.sqrt(p)
+    return float(((a + b) ** 2 + s * (a + b) * (1.0 / a + 1.0 / b) ** (1.0 / 3.0)) / n)
+
+
+@dataclass(frozen=True, eq=False)
+class ImageBasis:
+    """Per angular frequency m = 0..m_max, an orthonormal basis U_m of the
+    radial profiles z_i(m) (see _angular_spectra) that carry signal above
+    the noise, and the pooled pixel noise level sigma that decided it."""
+
+    sigma: float
+    vectors: tuple  # of (L // 2, r_m) complex arrays, m = 0..m_max
+
+    @property
+    def ranks(self) -> list:
+        return [u.shape[1] for u in self.vectors]
+
+    def summary(self) -> dict:
+        """sigma, m_max, the number of coefficients per image and r_m per m."""
+        ranks = self.ranks
+        return {
+            "sigma": self.sigma,
+            "m_max": len(ranks) - 1,
+            "n_coefficients": sum(ranks),
+            "ranks": ranks,
+        }
+
+
+def image_basis(images) -> ImageBasis:
+    """Per-frequency principal components of the images on the polar grid,
+    the polar analogue of steerable PCA (Zhao, Shkolnisky & Singer, IEEE
+    TCI 2016), with ranks set by the noise.
+
+    One pass over chunks of images accumulates G_m = (1/n) sum_i z_i(m)
+    z_i(m)^H for every m.  White pixel noise of variance sigma^2 adds
+    sigma^2 N_m to G_m, with N_m from _noise_gram, so
+
+        sigma^2 = sum_m tr G_m / sum_m tr N_m    over m >= NOISE_BAND,
+
+    the top quarter of the frequencies, where the phantom has no energy.
+    U_m keeps the components of G_m whitened by N_m whose eigenvalues
+    exceed sigma^2 * _noise_edge(n, L // 2): with G_m V = N_m V diag(lambda)
+    and V^H N_m V = I, U_m is an orthonormal basis of N_m V_kept, the span
+    of the kept components mapped back from the whitened space.  m_max is
+    the highest frequency that keeps one (0 if none does).
     """
     images = _stack(images)
-    n_r = images.shape[1] // 2
-    n_m = N_THETA // 2 + 1
-    spectra = np.empty((n_m, n_r, len(images)), dtype=complex)
-    weights = np.empty(len(images))
-    # per image: the polar samples and one gathered corner, then the
-    # spectrum and its conjugate
-    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 2 * 16 * n_m)):
-        polar, radii = polar_resample(images[lo:hi])
-        spectra[:, :, lo:hi] = np.conj(np.fft.rfft(polar, axis=-1)).T
-        for idx, p in enumerate(polar, start=lo):
-            # one sum per image; a row-wise sum over the chunk rounds differently
-            weights[idx] = np.sum(radii[:, None] * p**2)
-    return spectra, radii, weights
+    n, L = images.shape[:2]
+    n_r = L // 2
+    gram = np.zeros((N_M, n_r, n_r), dtype=complex)
+    # the Gram update in blocks of frequencies, each an eighth of the budget
+    m_blocks = list(row_blocks(N_M, 8 * 16 * n_r * n_r))
+    for _, _, z in _angular_spectra(images):
+        zh = np.conj(z).transpose(0, 2, 1)
+        for a, b in m_blocks:
+            gram[a:b] += z[a:b] @ zh[a:b]
+    gram /= n
+    noise = _noise_gram(L)
+    band = slice(NOISE_BAND, None)
+    sigma2 = float(
+        np.trace(gram[band], axis1=1, axis2=2).real.sum()
+        / np.trace(noise[band], axis1=1, axis2=2).real.sum()
+    )
+    edge = sigma2 * _noise_edge(n, n_r)
+    vectors = []
+    for g, nm in zip(gram, noise):
+        lam, v = scipy.linalg.eigh(g, nm)
+        vectors.append(np.linalg.qr(nm @ v[:, lam > edge])[0])
+    kept = [m for m, u in enumerate(vectors) if u.shape[1]]
+    m_max = kept[-1] if kept else 0
+    return ImageBasis(sigma=float(np.sqrt(sigma2)), vectors=tuple(vectors[: m_max + 1]))
 
 
-def _align_rows(
-    spectra: np.ndarray, radii: np.ndarray, weights: np.ndarray, lo: int, hi: int
+def _coefficients(images, basis: ImageBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Each image's coefficients U_m^H z_i(m) in the basis, zero-padded to
+    r = max r_m and split into real parts over imaginary parts, shape
+    (m_max + 1, 2 r, n) float64; and their energies, the radially weighted
+    squared norms of the images projected onto the basis, by Parseval over
+    the full angular spectrum (frequencies 0 < m < N_THETA / 2 count
+    twice)."""
+    ranks = basis.ranks
+    n_r, width = images.shape[1] // 2, max(ranks)
+    basis_h = np.zeros((len(ranks), width, n_r), dtype=complex)
+    for m, u in enumerate(basis.vectors):
+        basis_h[m, : u.shape[1]] = np.conj(u).T
+    coeffs = np.empty((len(ranks), 2 * width, len(images)))
+    for lo, hi, z in _angular_spectra(images):
+        c = basis_h @ z[: len(ranks)]
+        coeffs[:, :width, lo:hi] = c.real
+        coeffs[:, width:, lo:hi] = c.imag
+    twice = np.full(len(ranks), 2.0)
+    twice[0] = 1.0
+    if len(ranks) == N_M:
+        twice[-1] = 1.0  # the Nyquist frequency
+    energies = np.empty(len(images))
+    for i in range(len(images)):
+        # one sum per image, so chunking cannot change its rounding
+        energies[i] = twice @ np.sum(coeffs[:, :, i] ** 2, axis=1) / N_THETA
+    return coeffs, energies
+
+
+def _align_tile(
+    coeffs: np.ndarray, energies: np.ndarray, rows: slice, cols: slice
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and best shifts of images lo:hi against images lo+1:.
+    """Distances and best shifts of images `rows` against images `cols`,
+    from _coefficients' output.
 
-    One batched matrix product forms every cross-power,
-    sum_r r F_i(m, r) conj(F_j(m, r)), for each angular frequency m; an
-    inverse FFT over m turns it into the correlation at every cyclic shift.
-    Returns (hi - lo, n - lo - 1) arrays; entries with j <= i are not pairs.
+    One batched real matrix product forms every cross-power
+    c_i(m)^H c_j(m) at each angular frequency m: each column image j
+    enters as [Re c_j; Im c_j] and [Im c_j; -Re c_j], so the product
+    holds each cross-power's real and imaginary parts side by side, in
+    complex layout.  OpenBLAS rounds a real product alike at every tile
+    shape, but a complex one differently where a tile's column count is not
+    a multiple of its kernel's unroll.  An inverse FFT over m, zero-padded
+    to N_THETA, turns the cross-powers into the correlation at every cyclic
+    shift.
     """
-    left = np.conj(spectra[:, :, lo:hi]).transpose(0, 2, 1) * radii
-    cross = np.fft.irfft(left @ spectra[:, :, lo + 1 :], n=N_THETA, axis=0)
+    n_m, width = coeffs.shape[0], coeffs.shape[1] // 2
+    block = coeffs[:, :, cols]
+    right = np.empty(block.shape + (2,))
+    right[..., 0] = block
+    right[:, :width, :, 1] = block[:, width:]
+    np.negative(block[:, :width], out=right[:, width:, :, 1])
+    right = right.reshape(n_m, 2 * width, 2 * block.shape[2])
+    left = coeffs[:, :, rows].transpose(0, 2, 1)
+    # the frequencies above m_max are zeros: irfft pads a shorter input
+    # with a copy, which is slower
+    cross = np.zeros((N_M, left.shape[1], right.shape[2]))
+    np.matmul(left, right, out=cross[:n_m])
+    cross = np.fft.irfft(cross.view(complex), n=N_THETA, axis=0)
     shifts = np.argmax(cross, axis=0)
     best = np.take_along_axis(cross, shifts[None], axis=0)[0]
-    d2 = np.maximum(weights[lo:hi, None] + weights[None, lo + 1 :] - 2.0 * best, 0.0)
+    d2 = np.maximum(energies[rows, None] + energies[None, cols] - 2.0 * best, 0.0)
     return np.sqrt(d2), shifts
 
 
-def rid_distance(img_i: np.ndarray, img_j: np.ndarray) -> tuple[float, float]:
-    """Rotationally invariant distance and the optimal alignment angle of
-    two (L, L) images.
+def _align_pairs(coeffs: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (float64) and best shifts (int16, in [0, N_THETA)) of every
+    pair i < j, as row-major upper-triangle vectors.
 
-    Both images are resampled to the same polar grid; rotation becomes a
-    cyclic shift along the angular axis and the best shift is found through
-    FFT cross-correlation with radial weights proportional to r.  This is
-    image_graph's alignment kernel applied to one pair.
+    The pairs are covered by tiles of rows x columns, each within
+    graphs.WORK_BYTES at any n, and never of one row or one column: numpy
+    computes a one-row or one-column product with BLAS gemv, which rounds
+    unlike gemm, and the output must not depend on the tiling.
     """
-    spectra, radii, weights = _spectra([img_i, img_j])
-    dist, shifts = _align_rows(spectra, radii, weights, 0, 1)
-    return float(dist[0, 0]), 2.0 * np.pi * int(shifts[0, 0]) / N_THETA
+    n_m, n = coeffs.shape[0], coeffs.shape[2]
+    # per pair of a tile: its cross-powers at every frequency, the
+    # correlation at every shift, and its place in the triangle; per
+    # column: its two right-hand columns
+    pair_bytes = 16 * N_M + 8 * N_THETA + 64
+    column_bytes = 16 * coeffs.shape[0] * coeffs.shape[1]
+    side = max(2, math.isqrt(graphs.WORK_BYTES // pair_bytes))
+    flat = np.empty(n * (n - 1) // 2)
+    flat_shift = np.empty(flat.size, dtype=np.int16)
+    for lo, hi in row_blocks(n - 1, side * pair_bytes, min_rows=2):
+        # columns lo + 1.. hold every pair of these rows, at least hi - lo
+        # of them
+        tile_column = (hi - lo) * pair_bytes + column_bytes
+        for c0, c1 in row_blocks(n - lo - 1, tile_column, min_rows=2):
+            c0, c1 = c0 + lo + 1, c1 + lo + 1
+            d, s = _align_tile(coeffs, energies, slice(lo, hi), slice(c0, c1))
+            i = np.arange(lo, hi)[:, None]
+            j = np.arange(c0, c1)
+            pairs = j > i
+            at = (i * (2 * n - i - 1) // 2 + j - i - 1)[pairs]
+            flat[at] = d[pairs]
+            flat_shift[at] = s[pairs]
+    return flat, flat_shift
 
 
-def image_graph(images, edge_fraction: float) -> ObservationGraph:
+def image_graph(images, edge_fraction: float) -> tuple[ObservationGraph, ImageBasis]:
     """Build an observation graph from pairwise rotationally invariant
-    distances; edges carry the estimated alignment angles.
+    distances; edges carry the estimated alignment angles.  Returns the
+    graph and the image basis the distances were measured in.
 
-    The graph keeps every pair whose distance is at or below the
-    `edge_fraction` quantile of all pair distances.  Every pair is aligned
-    exactly, over blocks of rows within graphs.WORK_BYTES (at least one
-    row); distances and shifts go straight into row-major upper-triangle
-    vectors, so no n x n matrix is built.
+    The images are compressed to their coefficients in image_basis, in a
+    second pass over chunks of images, and every pair is aligned on those
+    coefficients.  The graph keeps every pair whose distance is at or
+    below the `edge_fraction` quantile of all pair distances.  Distances
+    and shifts go straight into row-major upper-triangle vectors, so no
+    n x n matrix is built, and no array of the full spectra either.
     """
     images = _stack(images)
     n = len(images)
@@ -250,29 +475,21 @@ def image_graph(images, edge_fraction: float) -> ObservationGraph:
     if not 0.0 < edge_fraction <= 1.0:
         raise ValueError(f"edge_fraction must lie in (0, 1], got {edge_fraction}")
 
-    spectra, radii, weights = _spectra(images)
-    flat = np.empty(n * (n - 1) // 2)
-    flat_shift = np.empty(flat.size, dtype=np.int16)  # shifts lie in [0, N_THETA)
-    pos = 0
-    for lo, hi in row_blocks(n - 1, n * _PAIR_BYTES):
-        d, s = _align_rows(spectra, radii, weights, lo, hi)
-        # rows lo:hi fill the next contiguous run of the upper triangle
-        upper = np.triu(np.ones(d.shape, dtype=bool))
-        end = pos + np.count_nonzero(upper)
-        flat[pos:end] = d[upper]
-        flat_shift[pos:end] = s[upper]
-        pos = end
-    del spectra
+    basis = image_basis(images)
+    coeffs, energies = _coefficients(images, basis)
+    flat, flat_shift = _align_pairs(coeffs, energies)
+    del coeffs
 
     kept = np.flatnonzero(flat <= np.quantile(flat, edge_fraction))
     ei, ej = upper_pairs(kept, n)
-    return ObservationGraph(
+    graph = ObservationGraph(
         n_vertices=n,
         edge_i=ei,
         edge_j=ej,
         theta=2.0 * np.pi * flat_shift[kept] / N_THETA,
         kind=np.zeros(ei.size, dtype=np.int8),
     )
+    return graph, basis
 
 
 def save_images(path, images) -> None:
@@ -282,28 +499,3 @@ def save_images(path, images) -> None:
         for img in _stack(images):
             fh.write(struct.pack("<II", *img.shape))
             fh.write(img.astype("<f8").tobytes())
-
-
-def load_images(path) -> np.ndarray:
-    """The (n, L, L) stack that save_images wrote.  A truncated file, or
-    images that are not all one odd square size, raise a ValueError naming
-    the file."""
-    images = []
-    with open(path, "rb") as fh:
-        while header := fh.read(8):
-            if len(header) != 8:
-                raise ValueError(f"{path}: truncated image header")
-            h, w = struct.unpack("<II", header)
-            L = images[0].shape[0] if images else h
-            if h != w or h % 2 == 0 or h != L:
-                raise ValueError(
-                    f"{path}: image {len(images)} is {h}x{w}, but the images must "
-                    f"all be {L}x{L} with {L} odd"
-                )
-            raw = fh.read(8 * h * w)
-            if len(raw) != 8 * h * w:
-                raise ValueError(f"{path}: truncated image payload")
-            images.append(np.frombuffer(raw, dtype="<f8").reshape(h, w))
-    if not images:
-        raise ValueError(f"{path}: no images")
-    return np.array(images, dtype=float)

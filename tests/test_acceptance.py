@@ -303,7 +303,7 @@ def test_criterion_8_image_pipeline_sanity():
     phantom = imaging.default_phantom()
     images = [imaging.project(phantom, r, L=65) for r in frames.frames]
     frac = clean.n_edges / (500 * 499 / 2)
-    g_img = imaging.image_graph(images, edge_fraction=frac)
+    g_img, _ = imaging.image_graph(images, edge_fraction=frac)
     true_set = set(zip(clean.edge_i.tolist(), clean.edge_j.tolist()))
     img_set = set(zip(g_img.edge_i.tolist(), g_img.edge_j.tolist()))
     # the exact-RID graph at the same edge fraction, by image_graph's rule

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import mfca
+from image_oracle import load_images
 from mfca import cli, csvio, graphs, imaging, pipeline, so3, spectral, wigner
 
 
@@ -74,6 +76,21 @@ class TestExperimentConfig:
         for bad, key in cases:
             with pytest.raises(cli.ConfigError, match=key):
                 cli.ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "key, values, first, second",
+        [
+            ("snr_values", [16, 4, 16.0000001], "16.0", "16.0000001"),
+            ("p_values", [0.1, 0.1000000001], "0.1", "0.1000000001"),
+        ],
+    )
+    def test_rejects_values_that_share_a_file_label(self, key, values, first, second):
+        # both would write images_snr16.* or graph_p0.1.csv, the second
+        # over the first
+        label = f"{values[0]:g}"
+        message = f"{key} {first} and {second} both label their files '{label}'"
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli.ExperimentConfig(**{key: values})
 
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path, seed=5, n_frames=100, p_values=[0.5, 1.0])
@@ -753,8 +770,33 @@ class TestImages:
                 img if np.isinf(snr) else imaging.add_noise(img, snr, 3 + 10 + idx)
                 for idx, img in enumerate(clean)
             ]
-            got = imaging.load_images(out / f"images_snr{label}.bin")
+            got = load_images(out / f"images_snr{label}.bin")
             assert np.array_equal(got, np.array(want)), label
+
+    def test_colliding_snr_labels_fail_before_writing(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, seed=6, n_frames=40, cos_threshold=0.8, knn_k=3, k_max=1,
+            image_size=17, snr_values=[16, 16.0000001],
+        )
+        out = tmp_path / "img"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: snr_values 16.0 and 16.0000001 both label their files '16'"]
+        assert not out.exists()
+
+    def test_metrics_record_the_image_basis(self, tmp_path):
+        cfg = write_config(
+            tmp_path, seed=6, n_frames=40, cos_threshold=0.8, knn_k=3, k_max=1,
+            image_size=17, snr_values=[8.0],
+        )
+        out = tmp_path / "img"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 0
+        basis = json.loads((out / "snr8" / "metrics.json").read_text())["image_basis"]
+        assert set(basis) == {"sigma", "m_max", "n_coefficients", "ranks"}
+        assert basis["sigma"] > 0.0
+        assert len(basis["ranks"]) == basis["m_max"] + 1
+        assert basis["ranks"][-1] > 0 or basis["m_max"] == 0
+        assert basis["n_coefficients"] == sum(basis["ranks"]) > 0
 
     def test_noiseless_label(self, tmp_path):
         cfg = write_config(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
+import image_oracle
 from mfca import graphs, imaging, so3
 
 
@@ -235,7 +236,7 @@ class TestPolarResample:
         monkeypatch.setattr(
             imaging, "polar_resample", lambda chunk: chunks.append(len(chunk)) or resample(chunk)
         )
-        spectra, radii, weights = imaging._spectra(imgs)
+        spectra, radii, weights = image_oracle.spectra(imgs)
         assert chunks == [3, 3, 1]
         for idx, img in enumerate(imgs):
             ref, ref_radii = reference_polar(img)
@@ -249,14 +250,14 @@ class TestPolarResample:
         # polar grid (about 1 MB at L = 65)
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
         imgs = imaging.project(phantom, haar(43, n), L=65)
-        peak, (spectra, _, weights) = _traced(lambda: imaging._spectra(imgs))
+        peak, (spectra, _, weights) = _traced(lambda: image_oracle.spectra(imgs))
         assert peak - spectra.nbytes - weights.nbytes < 2 * graphs.WORK_BYTES
 
 
 class TestRidDistance:
     def test_identical_images(self, phantom):
         img = imaging.project(phantom, haar(10)[0])
-        d, theta = imaging.rid_distance(img, img)
+        d, theta = image_oracle.rid_distance(img, img)
         assert d < 1e-10
         assert theta == 0.0
 
@@ -265,7 +266,7 @@ class TestRidDistance:
         alpha = 2 * np.pi * 50 / 360
         a = imaging.project(phantom, r)
         b = imaging.project(phantom, r @ so3.in_plane(alpha))
-        d, theta = imaging.rid_distance(a, b)
+        d, theta = image_oracle.rid_distance(a, b)
         assert d < 0.05 * np.linalg.norm(a)
         diff = abs((theta - alpha + np.pi) % (2 * np.pi) - np.pi)
         assert diff < np.radians(1.1)
@@ -273,71 +274,44 @@ class TestRidDistance:
     def test_angle_antisymmetry_within_bin(self, phantom):
         a = imaging.project(phantom, haar(12)[0])
         b = imaging.project(phantom, haar(13)[0])
-        _, tij = imaging.rid_distance(a, b)
-        _, tji = imaging.rid_distance(b, a)
+        _, tij = image_oracle.rid_distance(a, b)
+        _, tji = image_oracle.rid_distance(b, a)
         diff = abs((tij + tji + np.pi) % (2 * np.pi) - np.pi)
         assert diff < 2 * np.pi / 360 + 1e-9
 
     def test_distance_symmetry(self, phantom):
         a = imaging.project(phantom, haar(14)[0])
         b = imaging.project(phantom, haar(15)[0])
-        dij, _ = imaging.rid_distance(a, b)
-        dji, _ = imaging.rid_distance(b, a)
+        dij, _ = image_oracle.rid_distance(a, b)
+        dji, _ = image_oracle.rid_distance(b, a)
         assert abs(dij - dji) < 1e-9
 
     def test_rejects_size_mismatch(self, phantom):
         a = imaging.project(phantom, np.eye(3), L=33)
         b = imaging.project(phantom, np.eye(3), L=65)
         with pytest.raises(ValueError, match="one size, got 33x33, 65x65"):
-            imaging.rid_distance(a, b)
+            image_oracle.rid_distance(a, b)
 
 
-def _reference_distances(images):
-    """Pairwise distances and alignment angles from a per-row elementwise
-    cross-power sum: the alignment loop image_graph used before its
-    batched kernel."""
-    n = len(images)
-    n_theta = imaging.N_THETA
-    ffts, weights = [], []
-    radii = None
-    for img in images:
-        polar, radii = reference_polar(img)
-        ffts.append(np.fft.rfft(polar, axis=1))
-        weights.append(float(np.sum(radii[:, None] * polar**2)))
-    ffts = np.array(ffts)
-    weights = np.array(weights)
-    rw = radii[:, None]
-    dist = np.zeros((n, n))
-    theta = np.zeros((n, n))
+def _per_row_alignment(coeffs, energies):
+    """Distances and shifts of every pair i < j in row-major order, one row
+    at a time against every image: the reference for _align_pairs' tiles.
+    Each row is aligned in a block of two rows, since numpy computes a
+    one-row product with BLAS gemv, which rounds unlike gemm."""
+    n = coeffs.shape[2]
+    dist, shift = [], []
     for i in range(n - 1):
-        cross = np.fft.irfft(
-            np.sum(rw[None] * ffts[i][None] * np.conj(ffts[i + 1 :]), axis=1),
-            n=n_theta,
-            axis=1,
-        )
-        shifts = np.argmax(cross, axis=1)
-        best = cross[np.arange(cross.shape[0]), shifts]
-        d2 = np.maximum(weights[i] + weights[i + 1 :] - 2.0 * best, 0.0)
-        dist[i, i + 1 :] = np.sqrt(d2)
-        theta[i, i + 1 :] = 2.0 * np.pi * shifts / n_theta
-    return dist + dist.T, theta
+        d, s = imaging._align_tile(coeffs, energies, slice(i, i + 2), slice(0, n))
+        dist.append(d[0, i + 1 :])
+        shift.append(s[0, i + 1 :])
+    return np.concatenate(dist), np.concatenate(shift)
 
 
-def _reference_image_graph(images, edge_fraction):
-    """image_graph's quantile rule over the reference distances."""
-    n = len(images)
-    dist, theta = _reference_distances(images)
-    iu, ju = np.triu_indices(n, k=1)
-    flat = dist[iu, ju]
-    mask = flat <= np.quantile(flat, edge_fraction)
-    ei, ej = iu[mask], ju[mask]
-    return graphs.ObservationGraph(
-        n_vertices=n,
-        edge_i=ei,
-        edge_j=ej,
-        theta=theta[ei, ej],
-        kind=np.zeros(ei.size, dtype=np.int8),
-    )
+def _graph_from_pairs(flat, shift, n, edge_fraction):
+    """image_graph's quantile rule over row-major pair distances."""
+    kept = np.flatnonzero(flat <= np.quantile(flat, edge_fraction))
+    ei, ej = graphs.upper_pairs(kept, n)
+    return ei, ej, 2.0 * np.pi * shift[kept] / imaging.N_THETA
 
 
 @pytest.fixture(scope="module")
@@ -346,10 +320,75 @@ def setup(phantom):
     return fs, imaging.project(phantom, fs.frames, L=33)
 
 
+@pytest.fixture(scope="module")
+def noisy(setup):
+    """The 80 images of `setup` at SNR 8, their basis and coefficients."""
+    _, clean = setup
+    imgs = np.array([imaging.add_noise(img, 8.0, s) for s, img in enumerate(clean)])
+    basis = imaging.image_basis(imgs)
+    coeffs, energies = imaging._coefficients(imgs, basis)
+    return imgs, basis, coeffs, energies
+
+
+class TestImageBasis:
+    def test_noise_gram_matches_white_noise_images(self):
+        # Monte Carlo oracle: unit white-noise images through polar_resample
+        # and rfft; 4000 samples leave about 2% sampling error per entry
+        L, count = 9, 4000
+        noise = np.random.default_rng(0).standard_normal((count, L, L))
+        polar, radii = imaging.polar_resample(noise)
+        z = np.conj(np.fft.rfft(polar, axis=-1)) * np.sqrt(radii)[:, None]
+        sample = np.einsum("irm,ism->mrs", z, np.conj(z)) / count
+        exact = imaging._noise_gram(L)
+        scale = np.max(np.abs(exact), axis=(1, 2))
+        assert np.max(np.abs(sample - exact).max(axis=(1, 2)) / scale) < 0.1
+        assert np.allclose(exact, np.conj(exact.transpose(0, 2, 1)))
+
+    def test_white_noise_keeps_nothing(self):
+        # pure noise of known sigma: sigma-hat within 5%, and no component
+        # rises above the noise edge at any frequency
+        sigma = 0.7
+        imgs = sigma * np.random.default_rng(1).standard_normal((300, 33, 33))
+        basis = imaging.image_basis(imgs)
+        assert abs(basis.sigma - sigma) < 0.05 * sigma
+        assert basis.ranks == [0]
+        assert basis.summary() == {
+            "sigma": basis.sigma, "m_max": 0, "n_coefficients": 0, "ranks": [0],
+        }
+        # with no coefficients every distance is 0 and every shift 0
+        flat, shift = imaging._align_pairs(*imaging._coefficients(imgs[:6], basis))
+        assert not flat.any() and not shift.any()
+
+    def test_bases_are_orthonormal(self, noisy):
+        _, basis, _, _ = noisy
+        assert basis.ranks[-1] > 0
+        for u in basis.vectors:
+            assert np.allclose(np.conj(u).T @ u, np.eye(u.shape[1]), atol=1e-12)
+
+    def test_full_rank_matches_full_band(self, noisy, monkeypatch):
+        # with every rank kept the coefficients are a unitary change of
+        # basis per frequency, so distances and shifts are the full-band ones
+        imgs = noisy[0]
+        monkeypatch.setattr(imaging, "_noise_edge", lambda n, p: -np.inf)
+        basis = imaging.image_basis(imgs)
+        assert basis.ranks == [16] * imaging.N_M
+        flat, shift = imaging._align_pairs(*imaging._coefficients(imgs, basis))
+        dist, ref_shift = image_oracle.full_band_distances(imgs)
+        iu, ju = np.triu_indices(len(imgs), k=1)
+        np.testing.assert_allclose(flat, dist[iu, ju], rtol=1e-10, atol=0.0)
+        # a shift may differ only where the full-band correlation ties
+        for p in np.flatnonzero(shift != ref_shift[iu, ju]):
+            i, j = iu[p], ju[p]
+            spec, radii, _ = image_oracle.spectra(imgs[[i, j]])
+            cross = np.sum(np.conj(spec[:, :, 0]) * radii * spec[:, :, 1], axis=1)
+            corr = np.fft.irfft(cross, n=imaging.N_THETA)
+            assert corr[shift[p]] == pytest.approx(corr[ref_shift[i, j]], rel=1e-10)
+
+
 class TestImageGraph:
     def test_edge_fraction_calibration(self, setup):
         _, imgs = setup
-        g = imaging.image_graph(imgs, edge_fraction=0.1)
+        g, _ = imaging.image_graph(imgs, edge_fraction=0.1)
         total = 80 * 79 // 2
         assert abs(g.n_edges - 0.1 * total) <= 0.02 * total
 
@@ -357,45 +396,48 @@ class TestImageGraph:
         fs, imgs = setup
         g_true = graphs.clean_graph(fs, 0.9)
         frac = g_true.n_edges / (80 * 79 / 2)
-        g_img = imaging.image_graph(imgs, edge_fraction=frac)
+        g_img, _ = imaging.image_graph(imgs, edge_fraction=frac)
         true_set = set(zip(g_true.edge_i.tolist(), g_true.edge_j.tolist()))
         img_set = set(zip(g_img.edge_i.tolist(), g_img.edge_j.tolist()))
         assert len(true_set & img_set) / len(true_set) > 0.6
 
-    def test_edges_match_pairwise_distance(self, setup):
-        _, imgs = setup
-        g = imaging.image_graph(imgs, edge_fraction=1.0)
+    def test_edges_match_pairwise_distance(self, noisy):
+        # every pair is an edge, with the per-row loop's angle
+        imgs, basis, coeffs, energies = noisy
+        g, got = imaging.image_graph(imgs, edge_fraction=1.0)
+        assert got.summary() == basis.summary()
+        assert all(np.array_equal(a, b) for a, b in zip(got.vectors, basis.vectors))
         assert g.n_edges == 80 * 79 // 2
-        dist, _ = _reference_distances(imgs)
-        for e, (i, j) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist())):
-            d, theta = imaging.rid_distance(imgs[i], imgs[j])
-            assert theta == g.theta[e]
-            assert np.isclose(d, dist[i, j], rtol=1e-12, atol=0.0)
+        _, shift = _per_row_alignment(coeffs, energies)
+        assert np.array_equal(g.theta, 2.0 * np.pi * shift / imaging.N_THETA)
 
-    def test_matches_per_row_reference(self, setup):
-        _, imgs = setup
-        ref = _reference_image_graph(imgs, 0.1)
-        g = imaging.image_graph(imgs, edge_fraction=0.1)
-        assert ref.n_edges > 0
-        assert np.array_equal(g.edge_i, ref.edge_i)
-        assert np.array_equal(g.edge_j, ref.edge_j)
-        assert np.array_equal(g.theta, ref.theta)
+    def test_matches_per_row_reference(self, noisy):
+        imgs, _, coeffs, energies = noisy
+        ei, ej, theta = _graph_from_pairs(*_per_row_alignment(coeffs, energies), 80, 0.1)
+        g, _ = imaging.image_graph(imgs, edge_fraction=0.1)
+        assert ei.size > 0
+        assert np.array_equal(g.edge_i, ei)
+        assert np.array_equal(g.edge_j, ej)
+        assert np.array_equal(g.theta, theta)
 
-    @pytest.mark.parametrize("rows", [1, 5, 6])
-    def test_row_blocks_match_reference(self, setup, monkeypatch, rows):
-        # 79 rows hold pairs: blocks of 5 leave a 4-row last block, blocks
-        # of 6 a one-row last block
-        _, imgs = setup
-        monkeypatch.setattr(graphs, "WORK_BYTES", rows * 80 * imaging._PAIR_BYTES)
-        ref = _reference_image_graph(imgs, 0.1)
-        g = imaging.image_graph(imgs, edge_fraction=0.1)
-        assert np.array_equal(g.edge_i, ref.edge_i)
-        assert np.array_equal(g.edge_j, ref.edge_j)
-        assert np.array_equal(g.theta, ref.theta)
+    @pytest.mark.parametrize("side", [1, 5, 6])
+    def test_row_blocks_match_reference(self, noisy, monkeypatch, side):
+        # tiles of about side x side pairs: side 1 gets 2 x 2 tiles, never
+        # one row or column; 79 rows in blocks of 5 leave a 4-row last
+        # block, in blocks of 6 a one-row block that is folded in, and the
+        # columns of each block run in tiles with a short last one folded
+        _, _, coeffs, energies = noisy
+        pair_bytes = 16 * imaging.N_M + 8 * imaging.N_THETA + 64
+        monkeypatch.setattr(graphs, "WORK_BYTES", side * side * pair_bytes)
+        flat, shift = imaging._align_pairs(coeffs, energies)
+        ref_flat, ref_shift = _per_row_alignment(coeffs, energies)
+        assert np.array_equal(flat, ref_flat)
+        assert np.array_equal(shift, ref_shift)
 
     def test_memory_is_row_blocked(self, phantom):
-        # the per-row loop with n x n distance and angle arrays peaks at
-        # 118 MB here; the row-blocked kernel at about 71 MB
+        # the per-row loop with n x n distance and angle arrays peaked at
+        # 118 MB here, the row-blocked full-band kernel at about 71 MB, and
+        # the tiles over the compressed coefficients at about 27 MB
         imgs = imaging.project(phantom, haar(3, 800), L=33)
         tracemalloc.start()
         try:
@@ -406,11 +448,11 @@ class TestImageGraph:
         assert peak < 90 * 2**20
 
     def test_per_pair_memory(self, phantom, monkeypatch):
-        # with small alignment blocks the per-pair arrays set the peak:
+        # with small alignment tiles the per-pair arrays set the peak:
         # float64 distances, int16 shifts and the quantile's copy of the
-        # distances, about 21 bytes a pair here; int64 shifts and
+        # distances, about 18 bytes a pair here; int64 shifts and
         # np.triu_indices took about 35
-        monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)  # one row a block
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
         n = 2000
         imgs = imaging.project(phantom, haar(3, n), L=5)
         tracemalloc.start()
@@ -423,14 +465,30 @@ class TestImageGraph:
 
     @pytest.mark.parametrize("n", [300, 600])
     def test_memory_within_the_budget(self, phantom, monkeypatch, n):
-        # above the spectra and the per-pair arrays (float64 distances,
-        # int16 shifts, the quantile's copy), one block of rows: two rows
-        # at n = 300, one at n = 600
+        # above the coefficients and the per-pair arrays (float64
+        # distances, int16 shifts, the quantile's copy), one tile of pairs
+        # or one chunk of images
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**22)
         imgs = imaging.project(phantom, haar(44, n), L=65)
-        spectra = imaging._spectra(imgs)[0].nbytes
+        coeffs = imaging._coefficients(imgs, imaging.image_basis(imgs))[0].nbytes
         peak, _ = _traced(lambda: imaging.image_graph(imgs, edge_fraction=0.05))
-        assert peak - spectra - 26 * n * (n - 1) // 2 < 2 * graphs.WORK_BYTES
+        assert peak - coeffs - 26 * n * (n - 1) // 2 < 2 * graphs.WORK_BYTES
+
+    @pytest.mark.parametrize("n", [800, 1000])
+    def test_memory_is_column_tiled(self, phantom, monkeypatch, n):
+        # one row of pairs alone takes n x 5,776 bytes of temporaries, more
+        # than the default budget from n = 727 on and more than twice this
+        # budget at these n: the tiles must split the columns as well
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
+        imgs = imaging.project(phantom, haar(45, n), L=5)
+        coeffs = imaging._coefficients(imgs, imaging.image_basis(imgs))[0].nbytes
+
+        def align():
+            basis = imaging.image_basis(imgs)
+            return imaging._align_pairs(*imaging._coefficients(imgs, basis))
+
+        peak, (flat, shift) = _traced(align)
+        assert peak - coeffs - flat.nbytes - shift.nbytes < 2 * graphs.WORK_BYTES
 
     @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
     def test_rejects_edge_fraction_outside_unit_interval(self, setup, frac):
@@ -450,7 +508,7 @@ class TestSaveLoad:
         imgs = imaging.project(phantom, haar(21, 4), L=17)
         path = tmp_path / "imgs.bin"
         imaging.save_images(path, imgs)
-        back = imaging.load_images(path)
+        back = image_oracle.load_images(path)
         assert back.shape == (4, 17, 17)
         assert np.array_equal(back, imgs)
 
@@ -458,7 +516,7 @@ class TestSaveLoad:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x01\x02\x03")
         with pytest.raises(ValueError):
-            imaging.load_images(path)
+            image_oracle.load_images(path)
 
     def test_truncated_payload(self, phantom, tmp_path):
         imgs = [imaging.project(phantom, np.eye(3), L=17)]
@@ -467,7 +525,7 @@ class TestSaveLoad:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError):
-            imaging.load_images(path)
+            image_oracle.load_images(path)
 
     def test_rejects_mixed_sizes(self, phantom, tmp_path):
         path = tmp_path / "mixed.bin"
@@ -476,20 +534,20 @@ class TestSaveLoad:
                 img = imaging.project(phantom, np.eye(3), L=L)
                 fh.write(struct.pack("<II", L, L) + img.astype("<f8").tobytes())
         with pytest.raises(ValueError, match=re.escape(f"{path}: image 2 is 9x9")):
-            imaging.load_images(path)
+            image_oracle.load_images(path)
 
     @pytest.mark.parametrize("h, w", [(16, 16), (17, 15)])
     def test_rejects_even_or_non_square(self, tmp_path, h, w):
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<II", h, w) + np.zeros(h * w).astype("<f8").tobytes())
         with pytest.raises(ValueError, match=re.escape(f"{path}: image 0 is {h}x{w}")):
-            imaging.load_images(path)
+            image_oracle.load_images(path)
 
 
 class TestStackCheck:
     @pytest.mark.parametrize("shape", [(3, 9, 9, 1), (9, 9), (3, 9, 7), (3, 8, 8)])
     def test_rejects_shape(self, shape):
-        for fn in (imaging.polar_resample, imaging._spectra):
+        for fn in (imaging.polar_resample, imaging.image_basis):
             with pytest.raises(ValueError, match=re.escape(str(shape))):
                 fn(np.zeros(shape))
         with pytest.raises(ValueError, match=re.escape(str(shape))):
@@ -504,8 +562,8 @@ class TestStackCheck:
 
     def test_list_and_stack_agree(self, setup):
         _, imgs = setup
-        a = imaging.image_graph(imgs[:20], edge_fraction=0.2)
-        b = imaging.image_graph(list(imgs[:20]), edge_fraction=0.2)
+        a, _ = imaging.image_graph(imgs[:20], edge_fraction=0.2)
+        b, _ = imaging.image_graph(list(imgs[:20]), edge_fraction=0.2)
         assert np.array_equal(a.edge_i, b.edge_i)
         assert np.array_equal(a.edge_j, b.edge_j)
         assert np.array_equal(a.theta, b.theta)
