@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -100,9 +101,12 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ConfigError(f"{path}: config must be a JSON object")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -111,10 +115,6 @@ class ExperimentConfig:
     def hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _out_dir(args, config: ExperimentConfig | None) -> Path:
@@ -142,21 +142,38 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _parse_list(flag: str, spec: str, kind, sep: str = ",") -> list:
+    """The items of `spec` split at `sep`, each converted by `kind` (int or
+    float); an item that does not convert raises ValueError naming `flag`."""
+    values = []
+    for item in spec.split(sep):
+        if item:
+            try:
+                values.append(kind(item))
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"{flag} {spec!r}: {item!r} is not {what}") from None
+    return values
+
+
 def _parse_h_spec(spec: str) -> list:
     """Either a comma list '0.1,0.5' or a range 'start:step:stop'."""
-    if ":" in spec:
-        start, step, stop = (float(x) for x in spec.split(":"))
-        if step <= 0 or stop < start:
-            raise ValueError("invalid h range")
-        n = int(round((stop - start) / step)) + 1
-        hs = (start + i * step for i in range(n))
-        # a point that rounds past stop is stop: 0.18 + 26 * 0.07 > 2.0
-        return [min(h, stop) for h in hs if h <= stop + 1e-12]
-    return [float(x) for x in spec.split(",") if x]
+    if ":" not in spec:
+        return _parse_list("--h", spec, float)
+    parts = _parse_list("--h", spec, float, sep=":")
+    if len(parts) != 3:
+        raise ValueError(f"--h {spec!r}: a range must be start:step:stop")
+    start, step, stop = parts
+    if not (step > 0 and math.isfinite(start) and start <= stop < math.inf):  # NaN fails too
+        raise ValueError(f"--h {spec!r}: a range needs a step above 0 and finite start <= stop")
+    n = int(round((stop - start) / step)) + 1
+    hs = (start + i * step for i in range(n))
+    # a point that rounds past stop is stop: 0.18 + 26 * 0.07 > 2.0
+    return [min(h, stop) for h in hs if h <= stop + 1e-12]
 
 
 def cmd_theory(args) -> int:
-    ks = [int(x) for x in args.k.split(",") if x]
+    ks = _parse_list("--k", args.k, int)
     hs = _parse_h_spec(args.h)
     if not ks or not hs:
         raise ValueError(f"--k {args.k!r} and --h {args.h!r} must each list a value")
@@ -171,23 +188,21 @@ def cmd_theory(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     tag = f"# config={cfg.hash()}\n"
+    rows = [
+        (k, h, *row)
+        for k in ks
+        for h in hs
+        for row in spectral.eigenvalue_table(k, h, k + args.n_extra)
+    ]
     with open(out / "eigenvalues.csv", "w") as fh:
         fh.write("k,h,n,lambda,multiplicity\n")
         fh.write(tag)
-        for k in ks:
-            for h in hs:
-                table = spectral.eigenvalue_table(k, h, k + args.n_extra)
-                for n, lam, mult in table.values:
-                    fh.write(f"{k},{_fmt(h)},{n},{_fmt(lam)},{mult}\n")
+        write_rows(fh, "%d,%.17g,%d,%.17g,%d\n", *zip(*rows))
+    rows = [(k, h, spectral.spectral_gap(k, h), spectral.delta_k(k)) for k in ks for h in hs]
     with open(out / "gaps.csv", "w") as fh:
         fh.write("k,h,gap,delta_k\n")
         fh.write(tag)
-        for k in ks:
-            for h in hs:
-                fh.write(
-                    f"{k},{_fmt(h)},{_fmt(spectral.spectral_gap(k, h))},"
-                    f"{_fmt(spectral.delta_k(k))}\n"
-                )
+        write_rows(fh, "%d,%.17g,%.17g,%.17g\n", *zip(*rows))
     return 0
 
 
@@ -207,10 +222,10 @@ def cmd_wigner(args) -> int:
         from .so3 import from_euler
 
         val = wig.wigner_D(args.ell, args.m, args.n, from_euler(phi, theta, psi))
-        print(f"{_fmt(val.real)}{val.imag:+.17g}j")
+        print(f"{val.real:.17g}{val.imag:+.17g}j")
     else:
         val = wig.wigner_d(args.ell, args.m, args.n, args.theta)
-        print(_fmt(val))
+        print(f"{val:.17g}")
     return 0
 
 

@@ -61,15 +61,6 @@ class Phantom:
             checked.append((c, float(sigma), float(amplitude)))
         object.__setattr__(self, "blobs", tuple(checked))
 
-    def density(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the 3D density at an (..., 3) array of points."""
-        points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1])
-        for c, sigma, amp in self.blobs:
-            d2 = np.sum((points - c) ** 2, axis=-1)
-            out += amp * np.exp(-d2 / (2.0 * sigma * sigma))
-        return out
-
 
 # Fixed six-blob parameters found by a direct search maximizing how well the
 # image-space neighbor graph reproduces the geometric one; asymmetric on

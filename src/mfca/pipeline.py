@@ -91,17 +91,12 @@ def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
     )
 
 
-def _affinity_rows(
-    block: FrequencyBlock, lo: int, hi: int, conj_t: np.ndarray | None = None
-) -> np.ndarray:
+def _affinity_rows(block: FrequencyBlock, lo: int, hi: int, conj_t: np.ndarray) -> np.ndarray:
     """Rows lo:hi of A^(k) from the block's unit embedding rows:
     |<Psi(i), Psi(j)>| clipped to [0, 1], with diagonal 1 (0 at isolated
-    vertices, whose rows are zero).  conj_t, the rows' conjugate transpose,
-    is computed here unless given."""
-    rows = block.embedding
-    if conj_t is None:
-        conj_t = rows.conj().T
-    a = np.abs(rows[lo:hi] @ conj_t)
+    vertices, whose rows are zero).  conj_t is the embedding's conjugate
+    transpose."""
+    a = np.abs(block.embedding[lo:hi] @ conj_t)
     np.clip(a, 0.0, 1.0, out=a)
     r = np.arange(lo, hi)
     a[r - lo, r] = np.where(block.isolated[lo:hi], 0.0, 1.0)

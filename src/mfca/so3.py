@@ -39,33 +39,13 @@ def wrap_angle(a):
     return np.mod(a, TWO_PI)
 
 
-def _not_rotations(r: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
+def _not_rotations(r: np.ndarray) -> np.ndarray:
     """Mask over a (..., 3, 3) stack: True where max |R^T R - I| or
-    |det R - 1| exceeds 100 * tol, or is NaN."""
+    |det R - 1| exceeds 100 * _ORTHO_TOL, or is NaN."""
     ortho = np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)), axis=(-2, -1))
     with np.errstate(invalid="ignore"):  # NaN entries give a NaN det, rejected below
         det = np.abs(np.linalg.det(r) - 1.0)
-    return ~((ortho <= tol * 100) & (det <= tol * 100))
-
-
-def is_rotation(r: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
-    r = np.asarray(r)
-    return r.shape == (3, 3) and not _not_rotations(r, tol)
-
-
-def rot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def in_plane(alpha: float) -> np.ndarray:
-    """The SO(2) element h(alpha) embedded in SO(3): rotation about e3."""
-    return rot_z(alpha)
+    return ~((ortho <= _ORTHO_TOL * 100) & (det <= _ORTHO_TOL * 100))
 
 
 def from_euler(phi: float, theta: float, psi: float) -> np.ndarray:

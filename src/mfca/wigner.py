@@ -1,14 +1,11 @@
-"""Jacobi polynomials, Wigner d- and D-matrix entries, and the extrinsic
-column map used by the frequency-k affinity identity.
+"""Jacobi polynomials and Wigner d- and D-matrix entries.
 
-Matrix entries are indexed by (m, n) with m, n in {-ell, ..., ell}; the single
-array convention used everywhere is array index = m + ell (see entry_index).
+Matrix entries are indexed by (m, n) with m, n in {-ell, ..., ell}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +16,6 @@ ELL_MAX = 64
 
 class WeightCapError(ValueError):
     """Raised for weights ell beyond the supported cap."""
-
-
-def entry_index(m: int, ell: int) -> int:
-    """Map a signed index m in {-ell..ell} to the array index m + ell."""
-    if not -ell <= m <= ell:
-        raise IndexError(f"index {m} out of range for weight {ell}")
-    return m + ell
 
 
 def jacobi_poly(n: int, a: int, b: int, x: float) -> float:
@@ -99,60 +89,3 @@ def wigner_D(ell: int, m: int, n: int, x: np.ndarray) -> complex:
     _check_indices(ell, m, n)
     phi, theta, psi = to_euler(x)
     return np.exp(-1j * (m * phi + n * psi)) * wigner_d(ell, m, n, theta)
-
-
-@dataclass(frozen=True)
-class WignerDMatrix:
-    """Full (2*ell+1) x (2*ell+1) representation matrix at one rotation."""
-
-    ell: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        d = 2 * self.ell + 1
-        if e.shape != (d, d):
-            raise ValueError(f"entries must be {d}x{d}")
-        object.__setattr__(self, "entries", e)
-
-    def entry(self, m: int, n: int) -> complex:
-        return self.entries[entry_index(m, self.ell), entry_index(n, self.ell)]
-
-
-def wigner_D_matrix(ell: int, x: np.ndarray) -> WignerDMatrix:
-    if ell > ELL_MAX:
-        raise WeightCapError(f"weight {ell} exceeds the supported cap {ELL_MAX}")
-    phi, theta, psi = to_euler(x)
-    ms = np.arange(-ell, ell + 1)
-    d = np.array([[wigner_d(ell, m, n, theta) for n in ms] for m in ms])
-    entries = np.exp(-1j * phi * ms)[:, None] * d * np.exp(-1j * psi * ms)[None, :]
-    return WignerDMatrix(ell=ell, entries=entries)
-
-
-@dataclass(frozen=True)
-class ExtrinsicColumn:
-    """The index-(-k) column of D^k at one rotation; a unit vector in C^{2k+1}."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (2 * self.k + 1,):
-            raise ValueError(f"values must have length {2 * self.k + 1}")
-        object.__setattr__(self, "values", v)
-
-
-def extrinsic_column(k: int, x: np.ndarray) -> ExtrinsicColumn:
-    """The vector (D^k_{m,-k}(x))_{m=-k..k}.
-
-    The modulus of the inner product of two such columns equals
-    ((<pi(x), pi(y)> + 1)/2)^k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    phi, theta, psi = to_euler(x)
-    ms = np.arange(-k, k + 1)
-    d = np.array([wigner_d(k, m, -k, theta) for m in ms])
-    values = np.exp(-1j * (phi * ms - psi * k)) * d
-    return ExtrinsicColumn(k=k, values=values)

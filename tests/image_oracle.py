@@ -1,7 +1,9 @@
 """Test-only image routines: the full-band alignment kernel that
 imaging.image_graph ran before it aligned in a compressed basis, the
 pairwise rid_distance built on it, the elementwise all-pairs loop that
-preceded that kernel, and the reader of imaging.save_images' files.
+preceded that kernel, the reader of imaging.save_images' files, and the
+3D density of an imaging.Phantom, whose line integrals imaging.project
+computes in closed form.
 
 The full-band distances keep every angular frequency at every radius, so
 they are the exact reference for the compressed path at full rank.
@@ -121,3 +123,13 @@ def load_images(path) -> np.ndarray:
     if not images:
         raise ValueError(f"{path}: no images")
     return np.array(images, dtype=float)
+
+
+def density(phantom: imaging.Phantom, points: np.ndarray) -> np.ndarray:
+    """Evaluate the phantom's 3D density at an (..., 3) array of points."""
+    points = np.asarray(points, dtype=float)
+    out = np.zeros(points.shape[:-1])
+    for c, sigma, amp in phantom.blobs:
+        d2 = np.sum((points - c) ** 2, axis=-1)
+        out += amp * np.exp(-d2 / (2.0 * sigma * sigma))
+    return out

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import theory_oracle
 from mfca import eigensolver as es
 from mfca import graphs, imaging, pipeline, so3, spectral, wigner
 
@@ -53,10 +54,8 @@ def test_criterion_1_analytic_quadrature_equivalence():
     for k in range(1, 6):
         for n in range(k, k + 11):
             for h in (0.05, 0.2, 1.0, 2.0):
-                worst = max(
-                    worst,
-                    abs(spectral.lambda_analytic(n, k, h) - spectral.lambda_quadrature(n, k, h)),
-                )
+                exact = theory_oracle.lambda_analytic(n, k, h)
+                worst = max(worst, abs(exact - spectral.lambda_quadrature(n, k, h)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     assert report(
@@ -73,13 +72,13 @@ def test_criterion_2_closed_forms_and_gap():
     for h in np.linspace(0.05, 2.0, 20):
         worst_poly = max(
             worst_poly,
-            abs(spectral.lambda_analytic(1, 1, h) - (h / 2 - h**2 / 8)),
-            abs(spectral.lambda_analytic(2, 1, h) - (h / 2 - 5 * h**2 / 8 + h**3 / 6)),
+            abs(theory_oracle.lambda_analytic(1, 1, h) - (h / 2 - h**2 / 8)),
+            abs(theory_oracle.lambda_analytic(2, 1, h) - (h / 2 - 5 * h**2 / 8 + h**3 / 6)),
             abs(
-                spectral.lambda_analytic(3, 1, h)
+                theory_oracle.lambda_analytic(3, 1, h)
                 - (h / 2 - 11 * h**2 / 8 + 25 * h**3 / 24 - 15 * h**4 / 64)
             ),
-            abs(spectral.lambda_analytic(2, 2, h) - (h / 2 - h**2 / 4 + h**3 / 24)),
+            abs(theory_oracle.lambda_analytic(2, 2, h) - (h / 2 - h**2 / 4 + h**3 / 24)),
         )
     worst_gap = 0.0
     for k in range(1, 11):
@@ -88,7 +87,7 @@ def test_criterion_2_closed_forms_and_gap():
                 worst_gap,
                 abs(
                     spectral.spectral_gap(k, h)
-                    - (spectral.lambda_top(k, h) - spectral.lambda_second(k, h))
+                    - (spectral.lambda_top(k, h) - theory_oracle.lambda_second(k, h))
                 ),
             )
     worst_asym = 0.0
@@ -114,7 +113,7 @@ def test_criterion_3_dominance_sweep():
         for h in np.linspace(2.0 / 200, 2.0, 200):
             top = spectral.lambda_top(k, h)
             for n in range(k, k + 31):
-                if spectral.lambda_analytic(n, k, h) > top:
+                if theory_oracle.lambda_analytic(n, k, h) > top:
                     violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 5.0
@@ -142,15 +141,15 @@ def test_criterion_4_wigner_identities():
                 )
         for _ in range(100):
             x, y = so3.sample_uniform(int(rng.integers(1 << 31)), 2).frames
-            dx = wigner.wigner_D_matrix(k, x).entries
-            dy = wigner.wigner_D_matrix(k, y).entries
+            dx = theory_oracle.wigner_D_matrix(k, x)
+            dy = theory_oracle.wigner_D_matrix(k, y)
             worst = max(worst, float(np.max(np.abs(dx @ dx.conj().T - np.eye(2 * k + 1)))))
             worst = max(
                 worst,
-                float(np.max(np.abs(dx @ dy - wigner.wigner_D_matrix(k, x @ y).entries))),
+                float(np.max(np.abs(dx @ dy - theory_oracle.wigner_D_matrix(k, x @ y)))),
             )
-            cx = wigner.extrinsic_column(k, x).values
-            cy = wigner.extrinsic_column(k, y).values
+            # the extrinsic columns (D^k_{m,-k})_m are the matrices' column 0
+            cx, cy = dx[:, 0], dy[:, 0]
             target = ((x[:, 2] @ y[:, 2] + 1.0) / 2.0) ** k
             worst = max(worst, abs(abs(np.vdot(cx, cy)) - target))
     elapsed = time.perf_counter() - t0
@@ -352,7 +351,9 @@ def test_criterion_9_invariant_suites():
             float(abs(_alignment_angle(g @ r_i, g @ r_j) - t_ij)),
         )
         a1, a2 = rng.uniform(0, 2 * np.pi, 2)
-        shifted = _alignment_angle(r_i @ so3.in_plane(a1), r_j @ so3.in_plane(a2))
+        shifted = _alignment_angle(
+            r_i @ theory_oracle.rot_z(a1), r_j @ theory_oracle.rot_z(a2)
+        )
         delta = (shifted - (t_ij - a1 + a2)) % (2 * np.pi)
         worst_transport = max(worst_transport, float(min(delta, 2 * np.pi - delta)))
 
@@ -365,8 +366,9 @@ def test_criterion_9_invariant_suites():
         theta=theta, kind=clean.kind,
     )
     b0 = pipeline.embed(clean, 2)
-    a0 = pipeline._affinity_rows(b0, 0, 400)
-    a1_ = pipeline._affinity_rows(pipeline.embed(gauged, 2), 0, 400)
+    b1 = pipeline.embed(gauged, 2)
+    a0 = pipeline._affinity_rows(b0, 0, 400, b0.embedding.conj().T)
+    a1_ = pipeline._affinity_rows(b1, 0, 400, b1.embedding.conj().T)
     gauge_dev = float(np.max(np.abs(a0 - a1_)))
 
     # A^All over p copies of one frequency is the p-th power of its affinity

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -135,6 +136,17 @@ class TestTheory:
             pytest.param("2", "-0.5", "--h: bandwidth -0.5 lies outside (0, 2]", id="h-negative"),
             pytest.param("2", "0", "--h: bandwidth 0 lies outside (0, 2]", id="h-zero"),
             pytest.param("2", "nan", "--h: bandwidth nan lies outside (0, 2]", id="h-nan"),
+            pytest.param(
+                "1", "0.1:0.5", "--h '0.1:0.5': a range must be start:step:stop",
+                id="two-field-range",
+            ),
+            pytest.param("1,x", "0.5", "--k '1,x': 'x' is not an integer", id="k-not-int"),
+            pytest.param("1", "0.1,abc", "--h '0.1,abc': 'abc' is not a number", id="h-not-float"),
+            pytest.param(
+                "1", "0.1:0:0.5",
+                "--h '0.1:0:0.5': a range needs a step above 0 and finite start <= stop",
+                id="zero-step",
+            ),
         ],
     )
     def test_rejects_bad_lists_before_writing(self, tmp_path, capsys, k, h, message):
@@ -160,6 +172,28 @@ class TestTheory:
         last = (out / "gaps.csv").read_text().splitlines()[-1]
         assert last.split(",")[1] == "2"
 
+    def test_invalid_json_config_is_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, bad}')
+        out = tmp_path / "t"
+        argv = ["theory", "--k", "1", "--h", "0.5", "--config", str(path), "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: Expecting property name") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "t"
+        assert cli.main(["theory", "--k", "1,2,3", "--h", "0.05:0.05:2.0", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("eigenvalues.csv", "gaps.csv")
+        }
+        assert digests == {
+            "eigenvalues.csv": "da636c987b4449ac3f81631af182e3013c37671efcbb6cfbd678b90850a2d059",
+            "gaps.csv": "78ea2a8d46d0a788d367a669be4fa42a7e80a930d32577bd8d714a09d56bc07b",
+        }
+
     def test_config_hash_comment(self, tmp_path):
         out = tmp_path / "h"
         cli.main(["theory", "--k", "1", "--h", "0.2", "--out", str(out)])
@@ -171,15 +205,15 @@ class TestTheory:
 class TestWigner:
     def test_small_d_value(self, capsys):
         assert cli.main(["wigner", "--ell", "2", "--m", "1", "--n", "-1", "--theta", "0.7"]) == 0
-        printed = float(capsys.readouterr().out.strip())
-        assert np.isclose(printed, wigner.wigner_d(2, 1, -1, 0.7), atol=1e-16)
+        assert capsys.readouterr().out == format(wigner.wigner_d(2, 1, -1, 0.7), ".17g") + "\n"
 
     def test_full_D_entry(self, capsys):
         assert cli.main(
             ["wigner", "--ell", "1", "--m", "0", "--n", "1", "--euler", "0.2,0.5,1.0"]
         ) == 0
-        out = capsys.readouterr().out.strip()
-        assert out.endswith("j")
+        val = wigner.wigner_D(1, 0, 1, so3.from_euler(0.2, 0.5, 1.0))
+        real, imag = format(val.real, ".17g"), format(val.imag, "+.17g")
+        assert capsys.readouterr().out == f"{real}{imag}j\n"
 
     def test_bad_ell_returns_1(self, capsys):
         assert cli.main(["wigner", "--ell", "100", "--m", "0", "--n", "0"]) == 1
@@ -305,7 +339,8 @@ class TestRun:
         frames = so3.FrameSet.from_csv(sim / "frames.csv")
         graph = graphs.ObservationGraph.from_csv(graph_path, n_vertices=200)
         blocks = [pipeline.embed(graph, k) for k in range(1, 11)]
-        prod = np.prod(np.array([pipeline._affinity_rows(b, 0, 200) for b in blocks]), axis=0)
+        affinities = [pipeline._affinity_rows(b, 0, 200, b.embedding.conj().T) for b in blocks]
+        prod = np.prod(np.array(affinities), axis=0)
         keys = prod.copy()
         np.fill_diagonal(keys, -np.inf)
         keys[:, blocks[0].isolated] = -np.inf
@@ -339,7 +374,7 @@ class TestRun:
             pts = pipeline.scatter_data(pipeline.embed(graph, k), frames, 10000, 23)
             lines = (out / f"scatter_k{k}.csv").read_text().splitlines()
             assert lines[0] == "affinity,target"
-            assert lines[2:] == [f"{cli._fmt(a)},{cli._fmt(t)}" for a, t in pts]
+            assert lines[2:] == [f"{a:.17g},{t:.17g}" for a, t in pts]
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_every_csv_matches_per_value_format(self, tmp_path, monkeypatch, delta):
@@ -366,7 +401,7 @@ class TestRun:
         frames = so3.sample_uniform(8, 100)
         header = "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123")
         assert rows(sim / "frames.csv", header) == [
-            f"{i}," + ",".join(cli._fmt(v) for v in r.ravel())
+            f"{i}," + ",".join(format(v, ".17g") for v in r.ravel())
             for i, r in enumerate(frames.frames)
         ]
         clean = graphs.clean_graph(frames, 0.9)
@@ -374,23 +409,23 @@ class TestRun:
         names = ("good", "rewired")
         for p, g in (("1", clean), ("0.5", rewired)):
             assert rows(sim / f"graph_p{p}.csv", "i,j,theta,kind") == [
-                f"{i},{j},{cli._fmt(t)},{names[k]}"
+                f"{i},{j},{t:.17g},{names[k]}"
                 for i, j, t, k in zip(g.edge_i, g.edge_j, g.theta, g.kind)
             ]
         blocks = [pipeline.embed(rewired, k) for k in range(1, 11)]
         for b in blocks:
             assert rows(out / f"spectrum_k{b.k}.csv", "rank,eigenvalue") == [
-                f"{r},{cli._fmt(v)}" for r, v in enumerate(b.eigenvalues)
+                f"{r},{v:.17g}" for r, v in enumerate(b.eigenvalues)
             ]
             pts = pipeline.scatter_data(b, frames, 4950, 10)
             assert rows(out / f"scatter_k{b.k}.csv", "affinity,target") == [
-                f"{cli._fmt(a)},{cli._fmt(t)}" for a, t in pts
+                f"{a:.17g},{t:.17g}" for a, t in pts
             ]
         nb, values = pipeline.knn_streamed(blocks, 5)
         dirs = frames.viewing_directions()
         assert rows(out / "neighbors.csv", "i,rank,j,affinity,true_angle_deg") == [
-            f"{i},{r},{j},{cli._fmt(values[i, r])},"
-            f"{cli._fmt(np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))))}"
+            f"{i},{r},{j},{values[i, r]:.17g},"
+            f"{np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))):.17g}"
             for i in range(100)
             for r, j in enumerate(nb["A^All"][i])
         ]

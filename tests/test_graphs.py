@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import theory_oracle
 from mfca import graphs, so3
 
 
@@ -128,7 +129,7 @@ class TestCleanGraph:
     def test_identical_direction_pair(self):
         alpha = 0.6
         r = so3.sample_uniform(1, 1).frames[0]
-        fs = so3.FrameSet(frames=np.stack([r, r @ so3.in_plane(alpha)]))
+        fs = so3.FrameSet(frames=np.stack([r, r @ theory_oracle.rot_z(alpha)]))
         g = graphs.clean_graph(fs, 0.95)
         assert g.n_edges == 1
         assert np.isclose(g.theta[0], alpha, atol=1e-10)
@@ -162,7 +163,7 @@ class TestCleanGraph:
         g = graphs.clean_graph(fs, 0.95)
         for e in range(min(20, g.n_edges)):
             i, j = g.edge_i[e], g.edge_j[e]
-            m = (fs.frames[i] @ so3.in_plane(g.theta[e])).T @ fs.frames[j]
+            m = (fs.frames[i] @ theory_oracle.rot_z(g.theta[e])).T @ fs.frames[j]
             assert abs(m[1, 0] - m[0, 1]) < 1e-12
             assert m[0, 0] + m[1, 1] > 0
 

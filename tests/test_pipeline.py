@@ -59,7 +59,7 @@ def _traced(fn):
 
 def affinity(block):
     """The whole n x n A^(k), from the rows the streamed K-NN computes."""
-    return pipeline._affinity_rows(block, 0, block.n)
+    return pipeline._affinity_rows(block, 0, block.n, block.embedding.conj().T)
 
 
 def _edges(graph, index):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfca import so3
+from theory_oracle import rot_x, rot_z
 
 ANGLE = st.floats(min_value=0.0, max_value=2.0 * np.pi - 1e-9)
 POLAR = st.floats(min_value=1e-6, max_value=np.pi - 1e-6)
@@ -30,7 +31,7 @@ class TestFromEuler:
 
     def test_matches_factor_product(self):
         phi, theta, psi = 0.3, 0.7, 1.1
-        expected = so3.rot_z(phi) @ so3.rot_x(theta) @ so3.rot_z(psi)
+        expected = rot_z(phi) @ rot_x(theta) @ rot_z(psi)
         assert np.allclose(so3.from_euler(phi, theta, psi), expected, atol=1e-15)
 
     @given(phi=ANGLE, theta=POLAR, psi=ANGLE)
@@ -64,11 +65,11 @@ class TestToEuler:
 
     def test_gimbal_lock_convention(self):
         alpha = 1.234
-        angles = so3.to_euler(so3.in_plane(alpha))
+        angles = so3.to_euler(rot_z(alpha))
         assert np.allclose(angles, (alpha, 0.0, 0.0), atol=1e-12)
 
     def test_gimbal_lock_theta_pi_round_trip(self):
-        r = so3.in_plane(0.8) @ so3.rot_x(np.pi)
+        r = rot_z(0.8) @ rot_x(np.pi)
         angles = so3.to_euler(r)
         assert angles.psi == 0.0
         assert np.isclose(angles.theta, np.pi)
@@ -89,7 +90,7 @@ class TestViewingDirection:
     def test_invariant_under_in_plane_action(self, alpha):
         r = haar(7)[0]
         assert np.allclose(
-            view(r @ so3.in_plane(alpha)),
+            view(r @ rot_z(alpha)),
             view(r),
             atol=1e-14,
         )
@@ -102,8 +103,7 @@ class TestSampleUniform:
         assert np.array_equal(a, b)
 
     def test_all_rotations(self):
-        for r in haar(3, 200):
-            assert so3.is_rotation(r)
+        assert not so3._not_rotations(haar(3, 200)).any()
 
     def test_viewing_directions_centered(self):
         dirs = so3.sample_uniform(11, 100000).viewing_directions()
@@ -131,7 +131,7 @@ class TestAlignmentAngle:
     @settings(max_examples=25, deadline=None)
     def test_in_plane_pair(self, alpha):
         r = haar(2)[0]
-        got = angle(r, r @ so3.in_plane(alpha))
+        got = angle(r, r @ rot_z(alpha))
         assert np.isclose(got, alpha, atol=1e-10) or np.isclose(
             abs(got - alpha), 2 * np.pi, atol=1e-10
         )
@@ -139,7 +139,7 @@ class TestAlignmentAngle:
     def test_matches_grid_search(self):
         # nearby pair: rotate a frame a few degrees off its own axis
         r_i = haar(9)[0]
-        r_j = r_i @ so3.rot_x(0.12) @ so3.in_plane(2.5)
+        r_j = r_i @ rot_x(0.12) @ rot_z(2.5)
         assert view(r_i) @ view(r_j) > 0.95
         got = angle(r_i, r_j)
         grid = np.linspace(0.0, 2.0 * np.pi, 1_000_000, endpoint=False)
@@ -154,13 +154,13 @@ class TestAlignmentAngle:
     def test_minimizes_frobenius(self):
         r_i, r_j = haar(17, 2)
         theta = angle(r_i, r_j)
-        base = np.linalg.norm(r_i @ so3.in_plane(theta) - r_j)
+        base = np.linalg.norm(r_i @ rot_z(theta) - r_j)
         for t in np.linspace(0, 2 * np.pi, 720, endpoint=False):
-            assert base <= np.linalg.norm(r_i @ so3.in_plane(t) - r_j) + 1e-12
+            assert base <= np.linalg.norm(r_i @ rot_z(t) - r_j) + 1e-12
 
     def test_antipodal_error(self):
         r = haar(4)[0]
-        flipped = r @ so3.rot_x(np.pi)
+        flipped = r @ rot_x(np.pi)
         with pytest.raises(so3.AntipodalFramesError):
             angle(r, flipped)
 
@@ -191,7 +191,7 @@ class TestAngleProperties:
     def test_equivariance(self, a1, a2):
         r_i, r_j = haar(77, 2)
         base = angle(r_i, r_j)
-        shifted = angle(r_i @ so3.in_plane(a1), r_j @ so3.in_plane(a2))
+        shifted = angle(r_i @ rot_z(a1), r_j @ rot_z(a2))
         assert np.isclose(
             (shifted - (base - a1 + a2)) % (2 * np.pi) % (2 * np.pi), 0.0, atol=1e-9
         ) or np.isclose((shifted - (base - a1 + a2)) % (2 * np.pi), 2 * np.pi, atol=1e-9)
