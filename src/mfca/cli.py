@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments emitting CSV/JSON
 artifacts.
 
-Subcommands: theory, wigner, simulate, run, images, eval.  Every command is a
-pure function of (config, seed) to bytes on disk; CSV files carry a header
-row plus a comment line recording the config hash, and floats print with 17
-significant digits so they round-trip exactly.
+Subcommands: theory, wigner, simulate, run, images, eval.  Every command but
+wigner, which prints one entry, is a pure function of (config, seed) to bytes
+under --out, else the config's output_dir.  Every CSV is written by
+csvio.write_csv, with 17-digit floats that round-trip exactly.
 """
 
 from __future__ import annotations
@@ -12,17 +12,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
-import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import graphs, imaging, pipeline, spectral, wigner as wig
-from .csvio import write_rows
+from .csvio import write_csv
 from .so3 import FrameSet, sample_uniform
 
 _INT_FIELDS = ("seed", "n_frames", "k_max", "knn_k", "image_size")
@@ -109,37 +107,29 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: config must be a JSON object")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+            raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _out_dir(args, config: ExperimentConfig | None) -> Path:
-    """The output directory, created; each command calls this only after
-    its inputs are read and checked, so a failed command leaves none."""
-    if getattr(args, "out", None):
-        d = Path(args.out)
-    elif os.environ.get("MFCA_OUT"):
-        d = Path(os.environ["MFCA_OUT"])
-    elif config is not None:
-        d = Path(config.output_dir)
-    else:
-        d = Path("out")
+def _out_dir(args, config: ExperimentConfig) -> Path:
+    """The output directory, --out or else the config's output_dir,
+    created; each command calls this only after its inputs are read and
+    checked, so a failed command leaves none."""
+    d = Path(args.out or config.output_dir)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = ExperimentConfig(**{**asdict(cfg), "seed": args.seed})
-    return cfg
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _parse_list(flag: str, spec: str, kind, sep: str = ",") -> list:
@@ -157,16 +147,20 @@ def _parse_list(flag: str, spec: str, kind, sep: str = ",") -> list:
 
 
 def _parse_h_spec(spec: str) -> list:
-    """Either a comma list '0.1,0.5' or a range 'start:step:stop'."""
+    """Either a comma list '0.1,0.5' or a range 'start:step:stop' within
+    (0, 2] of at most 10,000 steps, checked before any point is built."""
     if ":" not in spec:
         return _parse_list("--h", spec, float)
     parts = _parse_list("--h", spec, float, sep=":")
     if len(parts) != 3:
         raise ValueError(f"--h {spec!r}: a range must be start:step:stop")
     start, step, stop = parts
-    if not (step > 0 and math.isfinite(start) and start <= stop < math.inf):  # NaN fails too
-        raise ValueError(f"--h {spec!r}: a range needs a step above 0 and finite start <= stop")
-    n = int(round((stop - start) / step)) + 1
+    if not (step > 0 and 0.0 < start <= stop <= 2.0):  # NaN fails too
+        raise ValueError(f"--h {spec!r}: a range needs a step above 0 and 0 < start <= stop <= 2")
+    span = (stop - start) / step  # in steps; inf if it overflows
+    if span > 10_000:
+        raise ValueError(f"--h {spec!r}: the range spans {span:.6g} steps, more than 10,000")
+    n = int(round(span)) + 1
     hs = (start + i * step for i in range(n))
     # a point that rounds past stop is stop: 0.18 + 26 * 0.07 > 2.0
     return [min(h, stop) for h in hs if h <= stop + 1e-12]
@@ -187,22 +181,20 @@ def cmd_theory(args) -> int:
         raise ValueError(f"--n-extra: {args.n_extra} is below 0")
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    tag = f"# config={cfg.hash()}\n"
     rows = [
         (k, h, *row)
         for k in ks
         for h in hs
         for row in spectral.eigenvalue_table(k, h, k + args.n_extra)
     ]
-    with open(out / "eigenvalues.csv", "w") as fh:
-        fh.write("k,h,n,lambda,multiplicity\n")
-        fh.write(tag)
-        write_rows(fh, "%d,%.17g,%d,%.17g,%d\n", *zip(*rows))
+    write_csv(
+        out / "eigenvalues.csv", "k,h,n,lambda,multiplicity", cfg.hash(),
+        "%d,%.17g,%d,%.17g,%d\n", *zip(*rows),
+    )
     rows = [(k, h, spectral.spectral_gap(k, h), spectral.delta_k(k)) for k in ks for h in hs]
-    with open(out / "gaps.csv", "w") as fh:
-        fh.write("k,h,gap,delta_k\n")
-        fh.write(tag)
-        write_rows(fh, "%d,%.17g,%.17g,%.17g\n", *zip(*rows))
+    write_csv(
+        out / "gaps.csv", "k,h,gap,delta_k", cfg.hash(), "%d,%.17g,%.17g,%.17g\n", *zip(*rows)
+    )
     return 0
 
 
@@ -229,22 +221,15 @@ def cmd_wigner(args) -> int:
     return 0
 
 
-def _to_csv(obj, path: Path, cfg: ExperimentConfig) -> None:
-    """obj.to_csv(path), then the config line that ends the file."""
-    obj.to_csv(path)
-    with open(path, "a") as fh:
-        fh.write(f"# config={cfg.hash()}\n")
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     frames = sample_uniform(cfg.seed, cfg.n_frames)
-    _to_csv(frames, out / "frames.csv", cfg)
+    frames.to_csv(out / "frames.csv", cfg.hash())
     clean = graphs.clean_graph(frames, cfg.cos_threshold)
     for p in cfg.p_values:
         g = clean if p == 1.0 else graphs.rewire(clean, p, cfg.seed + 1)
-        _to_csv(g, out / f"graph_p{_label(p)}.csv", cfg)
+        g.to_csv(out / f"graph_p{_label(p)}.csv", cfg.hash())
     return 0
 
 
@@ -255,22 +240,21 @@ def _run_pipeline(
     prints one summary line per method.  `image_metrics`, when given, is a
     dict of entries for metrics.json, such as `edge_match`, which is
     printed too."""
-    tag = f"# config={cfg.hash()}\n"
+    config = cfg.hash()
     blocks = [pipeline.embed(graph, k) for k in range(1, cfg.k_max + 1)]
     for block in blocks:
-        k = block.k
-        with open(out / f"spectrum_k{k}.csv", "w") as fh:
-            fh.write("rank,eigenvalue\n")
-            fh.write(tag)
-            values = block.eigenvalues
-            write_rows(fh, "%d,%.17g\n", np.arange(values.size), values)
+        k, values = block.k, block.eigenvalues
+        write_csv(
+            out / f"spectrum_k{k}.csv", "rank,eigenvalue", config,
+            "%d,%.17g\n", np.arange(values.size), values,
+        )
         pts = pipeline.scatter_data(
             block, frames, min(10000, block.n * (block.n - 1) // 2), cfg.seed + 2
         )
-        with open(out / f"scatter_k{k}.csv", "w") as fh:
-            fh.write("affinity,target\n")
-            fh.write(tag)
-            write_rows(fh, "%.17g,%.17g\n", pts[:, 0], pts[:, 1])
+        write_csv(
+            out / f"scatter_k{k}.csv", "affinity,target", config,
+            "%.17g,%.17g\n", pts[:, 0], pts[:, 1],
+        )
 
     neighbors, values = pipeline.knn_streamed(blocks, cfg.knn_k)
     angles = {name: pipeline.neighbor_angles(frames, nb) for name, nb in neighbors.items()}
@@ -278,12 +262,12 @@ def _run_pipeline(
     n, K = values.shape
     ii = np.repeat(np.arange(n), K)
     ranks = np.tile(np.arange(K), n)
-    with open(out / "neighbors.csv", "w") as fh:
-        fh.write("i,rank,j,affinity,true_angle_deg\n")
-        fh.write(tag)
-        jj, ang = neighbors["A^All"].ravel(), angles["A^All"].ravel()
-        write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", ii, ranks, jj, values.ravel(), ang)
-    result = {"config": cfg.hash(), "methods": metrics, **(image_metrics or {})}
+    write_csv(
+        out / "neighbors.csv", "i,rank,j,affinity,true_angle_deg", config,
+        "%d,%d,%d,%.17g,%.17g\n",
+        ii, ranks, neighbors["A^All"].ravel(), values.ravel(), angles["A^All"].ravel(),
+    )
+    result = {"config": config, "methods": metrics, **(image_metrics or {})}
     if "edge_match" in result:
         print(f"{out}: edge match {result['edge_match']:.3f}")
     with open(out / "metrics.json", "w") as fh:
@@ -331,7 +315,7 @@ def cmd_images(args) -> int:
         )
     clean_frac = geometric.n_edges / (n * (n - 1) / 2)
     out = _out_dir(args, cfg)
-    _to_csv(frames, out / "frames.csv", cfg)
+    frames.to_csv(out / "frames.csv", cfg.hash())
     phantom = imaging.default_phantom()
     geometric_keys = geometric.edge_i * n + geometric.edge_j
     snrs = cfg.snr_values or (float("inf"),)
@@ -344,14 +328,14 @@ def cmd_images(args) -> int:
                 imgs[idx] = imaging.add_noise(img, snr, cfg.seed + 10 + idx)
         label = _label(snr)
         imaging.save_images(out / f"images_snr{label}.bin", imgs)
-        with open(out / f"images_snr{label}.csv", "w") as fh:
-            fh.write("index,seed,snr\n")
-            fh.write(f"# config={cfg.hash()}\n")
-            idx = np.arange(len(imgs))
-            write_rows(fh, f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx)
+        idx = np.arange(len(imgs))
+        write_csv(
+            out / f"images_snr{label}.csv", "index,seed,snr", cfg.hash(),
+            f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx,
+        )
         g, basis = imaging.image_graph(imgs, edge_fraction=clean_frac)
         del imgs
-        _to_csv(g, out / f"image_graph_snr{label}.csv", cfg)
+        g.to_csv(out / f"image_graph_snr{label}.csv", cfg.hash())
         # share of the geometric graph's edges that the image graph found
         match = float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))
         sub = out / f"snr{label}"
@@ -420,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", help="output directory (fallback: $MFCA_OUT)")
+        p.add_argument("--out", help="output directory (default: the config's output_dir)")
 
     p = sub.add_parser("theory", help="emit eigenvalue tables and spectral gaps")
     common(p)
@@ -430,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("wigner", help="evaluate a single d- or D-matrix entry")
-    common(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

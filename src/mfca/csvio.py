@@ -1,4 +1,5 @@
-"""Bulk CSV row output: each chunk of rows is %-formatted in one C call.
+"""The one CSV layout (a header row, `# config=<hash>`, then the rows) and
+bulk row output: each chunk of rows is %-formatted in one C call.
 
 '%.17g' % x is format(x, '.17g') byte for byte for every float, including
 -0.0, inf, nan and subnormals, so files written here match a per-value
@@ -35,3 +36,11 @@ def write_rows(fh, template: str, *columns) -> None:
         for q, part in enumerate(parts):
             flat[q::width] = part
         fh.write((template * rows) % tuple(flat))
+
+
+def write_csv(path, header: str, config: str, template: str, *columns) -> None:
+    """Write `path` as the `header` row, `# config=<config>` and then the
+    rows of `columns` through write_rows; `config` is the config hash."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header}\n# config={config}\n")
+        write_rows(fh, template, *columns)

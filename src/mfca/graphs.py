@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_rows
+from .csvio import write_csv
 from .so3 import FrameSet, alignment_angles
 
 GOOD = 0
@@ -30,15 +30,17 @@ WORK_BYTES = 2**22
 _ANGLE_BYTES = 3 * 72 + 6 * 8  # two gathered frames and their product, per edge
 
 
-def row_blocks(n: int, row_bytes: int, min_rows: int = 1):
+def row_blocks(n: int, row_bytes: int):
     """(lo, hi) bounds of consecutive blocks over range(n), each of as many
-    rows as keep row_bytes of temporaries a row within WORK_BYTES, and at
-    least min_rows; a shorter last block is folded into the one before."""
-    step = max(min_rows, WORK_BYTES // row_bytes)
+    rows as keep row_bytes of temporaries a row within WORK_BYTES.  A block
+    is never one row, of which BLAS computes a product with gemv, which
+    rounds unlike gemm: it has at least two rows, and a one-row last block
+    is folded into the one before."""
+    step = max(2, WORK_BYTES // row_bytes)
     lo = 0
     while lo < n:
         hi = min(lo + step, n)
-        if n - hi < min_rows:
+        if n - hi < 2:
             hi = n
         yield lo, hi
         lo = hi
@@ -82,13 +84,12 @@ class ObservationGraph:
     def n_edges(self) -> int:
         return self.edge_i.size
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(_HEADER + "\n")
-            write_rows(
-                fh, "%d,%d,%.17g,%s\n",
-                self.edge_i, self.edge_j, self.theta, _KIND_NAMES[self.kind],
-            )
+    def to_csv(self, path, config: str) -> None:
+        """Write the edges, one a row, with config hash `config`."""
+        write_csv(
+            path, _HEADER, config, "%d,%d,%.17g,%s\n",
+            self.edge_i, self.edge_j, self.theta, _KIND_NAMES[self.kind],
+        )
 
     @classmethod
     def from_csv(cls, path, n_vertices: int | None = None) -> "ObservationGraph":
@@ -159,9 +160,8 @@ def clean_graph(frames: FrameSet, cos_threshold: float) -> ObservationGraph:
         raise ValueError("need at least 2 frames")
     dirs = frames.viewing_directions()
     ii_parts, jj_parts = [], []
-    # a float64 dot product and a mask per entry; never a one-row block,
-    # whose product BLAS computes with gemv, which rounds unlike gemm
-    for a, b in row_blocks(n, 9 * n, min_rows=2):
+    # a float64 dot product and a mask per entry
+    for a, b in row_blocks(n, 9 * n):
         bi, bj = np.nonzero(dirs[a:b] @ dirs.T > cos_threshold)
         keep = a + bi < bj
         ii_parts.append(a + bi[keep])

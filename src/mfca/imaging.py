@@ -194,7 +194,7 @@ def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
 
 def _angular_spectra(images):
     """(lo, hi, z) over chunks of the checked stack `images`, each within
-    graphs.WORK_BYTES and never of one image, with z of shape
+    graphs.WORK_BYTES, with z of shape
     (N_M, L // 2, hi - lo) and z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)),
     F_i(m, r) being image i's m-th angular Fourier coefficient on the ring
     of radius r.  Then z_i(m)^H z_j(m) = sum_r r F_i(m, r) conj(F_j(m, r)),
@@ -203,7 +203,7 @@ def _angular_spectra(images):
     n_r = images.shape[1] // 2
     # per image: the polar samples and one gathered corner, then the
     # spectrum, its transposed copy and that copy's conjugate
-    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M), min_rows=2):
+    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M)):
         polar, radii = polar_resample(images[lo:hi])
         spectra = np.fft.rfft(polar, axis=-1)
         del polar
@@ -418,9 +418,7 @@ def _align_pairs(coeffs: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, 
     pair i < j, as row-major upper-triangle vectors.
 
     The pairs are covered by tiles of rows x columns, each within
-    graphs.WORK_BYTES at any n, and never of one row or one column: numpy
-    computes a one-row or one-column product with BLAS gemv, which rounds
-    unlike gemm, and the output must not depend on the tiling.
+    graphs.WORK_BYTES at any n.
     """
     n_m, n = coeffs.shape[0], coeffs.shape[2]
     # per pair of a tile: its cross-powers at every frequency, the
@@ -431,11 +429,11 @@ def _align_pairs(coeffs: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, 
     side = max(2, math.isqrt(graphs.WORK_BYTES // pair_bytes))
     flat = np.empty(n * (n - 1) // 2)
     flat_shift = np.empty(flat.size, dtype=np.int16)
-    for lo, hi in row_blocks(n - 1, side * pair_bytes, min_rows=2):
+    for lo, hi in row_blocks(n - 1, side * pair_bytes):
         # columns lo + 1.. hold every pair of these rows, at least hi - lo
         # of them
         tile_column = (hi - lo) * pair_bytes + column_bytes
-        for c0, c1 in row_blocks(n - lo - 1, tile_column, min_rows=2):
+        for c0, c1 in row_blocks(n - lo - 1, tile_column):
             c0, c1 = c0 + lo + 1, c1 + lo + 1
             d, s = _align_tile(coeffs, energies, slice(lo, hi), slice(c0, c1))
             i = np.arange(lo, hi)[:, None]

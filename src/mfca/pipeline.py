@@ -148,10 +148,7 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     neighbors["A^All"] = nb_all = np.empty((n, K), dtype=np.int64)
     values = np.empty((n, K))
     conj_ts = [b.embedding.conj().T for b in blocks]
-    # never a one-row block: numpy computes a one-row product with BLAS
-    # gemv, which rounds unlike gemm, and the neighbors and affinities
-    # written must not depend on the blocking
-    for lo, hi in row_blocks(n, _KNN_ENTRY_BYTES * n, min_rows=2):
+    for lo, hi in row_blocks(n, _KNN_ENTRY_BYTES * n):
         prod = None
         for b, conj_t in zip(blocks, conj_ts):
             a = _affinity_rows(b, lo, hi, conj_t)

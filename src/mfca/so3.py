@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import write_rows
+from .csvio import write_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,14 +100,13 @@ class FrameSet:
         """(N, 3) array of third columns."""
         return self.frames[:, :, 2].copy()
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
-
-    def write_csv(self, fh) -> None:
-        fh.write("index," + ",".join(f"r{a}{b}" for a in "123" for b in "123") + "\n")
+    def to_csv(self, path, config: str) -> None:
+        """Write the frames, 9 entries a row, with config hash `config`."""
         n = len(self)
-        write_rows(fh, "%d" + ",%.17g" * 9 + "\n", np.arange(n), *self.frames.reshape(n, 9).T)
+        write_csv(
+            path, "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123"), config,
+            "%d" + ",%.17g" * 9 + "\n", np.arange(n), *self.frames.reshape(n, 9).T,
+        )
 
     @classmethod
     def from_csv(cls, path) -> "FrameSet":

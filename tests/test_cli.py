@@ -22,13 +22,22 @@ def write_config(tmp_path, **kwargs):
 
 def write_rows_at_chunk_boundary(monkeypatch, delta):
     """Make every CSV writer's row count CHUNK + delta, whatever it is."""
+    write_rows = csvio.write_rows
 
     def at_boundary(fh, template, *columns):
         monkeypatch.setattr(csvio, "CHUNK", max(1, len(columns[0]) - delta))
-        csvio.write_rows(fh, template, *columns)
+        write_rows(fh, template, *columns)
 
-    for module in (cli, graphs, so3):
-        monkeypatch.setattr(module, "write_rows", at_boundary)
+    monkeypatch.setattr(csvio, "write_rows", at_boundary)
+
+
+def assert_csv_layout(path, config):
+    """The layout of every CSV: a header row, `# config=<hash>` on line 2,
+    and no other comment line."""
+    lines = path.read_text().splitlines()
+    assert not lines[0].startswith("#"), path.name
+    assert lines[1] == f"# config={config}", path.name
+    assert not any(ln.startswith("#") for ln in lines[2:]), path.name
 
 
 class TestExperimentConfig:
@@ -54,6 +63,25 @@ class TestExperimentConfig:
         path = write_config(tmp_path, seed=1, typo_key=3)
         with pytest.raises(cli.ConfigError):
             cli.ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"sed": 1}, "unknown config keys: ['sed']"),
+            ({"n_frames": 1.5}, "n_frames must be an integer"),
+            ({"p_values": [0.1, 0.1000000001]}, "p_values 0.1 and 0.1000000001 both label"),
+        ],
+        ids=["bad-value", "unknown-key", "bad-type", "colliding-labels"],
+    )
+    def test_errors_name_the_file(self, tmp_path, capsys, raw, message):
+        path = write_config(tmp_path, **raw)
+        out = tmp_path / "t"
+        argv = ["theory", "--k", "1", "--h", "0.5", "--config", path, "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rejects_bad_values(self):
         cases = [
@@ -144,8 +172,31 @@ class TestTheory:
             pytest.param("1", "0.1,abc", "--h '0.1,abc': 'abc' is not a number", id="h-not-float"),
             pytest.param(
                 "1", "0.1:0:0.5",
-                "--h '0.1:0:0.5': a range needs a step above 0 and finite start <= stop",
+                "--h '0.1:0:0.5': a range needs a step above 0 and 0 < start <= stop <= 2",
                 id="zero-step",
+            ),
+            *(
+                pytest.param(
+                    "1", spec, f"--h {spec!r}: a range needs a step above 0 and "
+                    "0 < start <= stop <= 2\n", id=f"range-{spec}",
+                )
+                for spec in ("0:0.1:1", "0.1:0.1:2.5", "0.5:0.1:0.2", "0.1:0.1:nan")
+            ),
+            # about 2e9 points, which were built before the count was checked
+            pytest.param(
+                "1", "0.001:1e-9:2",
+                "--h '0.001:1e-9:2': the range spans 1.999e+09 steps, more than 10,000\n",
+                id="2e9-steps",
+            ),
+            pytest.param(
+                "1", "0.001:5e-324:2",
+                "--h '0.001:5e-324:2': the range spans inf steps, more than 10,000\n",
+                id="inf-steps",
+            ),
+            pytest.param(
+                "1", "0.0001:0.0001:1.00015",
+                "--h '0.0001:0.0001:1.00015': the range spans 10000.5 steps, more than 10,000\n",
+                id="10000.5-steps",
             ),
         ],
     )
@@ -155,6 +206,11 @@ class TestTheory:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_h_range_of_10000_steps(self):
+        assert len(cli._parse_h_spec("0.0002:0.0002:2")) == 10_000
+        hs = cli._parse_h_spec("0.0001:0.0001:1.0001")
+        assert len(hs) == 10_001 and hs[-1] == 1.0001
 
     def test_rejects_negative_n_extra_before_writing(self, tmp_path, capsys):
         out = tmp_path / "t"
@@ -226,6 +282,14 @@ class TestWigner:
         assert err == f"error: --m {m} and --n {n} must each lie in [-ell, ell] for --ell 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--config", "--seed", "--out"])
+    def test_takes_no_config_seed_or_out(self, capsys, flag):
+        # wigner prints one entry and writes no file, so it has no use for them
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["wigner", "--ell", "1", "--m", "0", "--n", "0", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("euler", ["1,2", "1,2,3,4", "1,x,3"])
     def test_bad_euler_names_the_flag(self, capsys, euler):
         argv = ["wigner", "--ell", "1", "--m", "0", "--n", "0", "--euler", euler]
@@ -269,7 +333,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, seed=1.5, n_frames=50, knn_k=5)
         code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: seed")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: seed")
 
 
 @pytest.fixture(scope="module")
@@ -388,15 +452,14 @@ class TestRun:
         argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
         argv += ["--graph", str(sim / "graph_p0.5.csv"), "--out", str(out)]
         assert cli.main(argv) == 0
-        tag = f"# config={cli.ExperimentConfig.from_json(cfg).hash()}"
+        config = cli.ExperimentConfig.from_json(cfg).hash()
 
         def rows(path, header):
-            """Data lines, after checking the header and the config line
-            (simulate appends it, run writes it second)."""
+            """Data lines, after checking the header and the config line."""
+            assert_csv_layout(path, config)
             lines = path.read_text().splitlines()
             assert lines[0] == header
-            assert tag in (lines[1], lines[-1])
-            return [ln for ln in lines[1:] if ln != tag]
+            return lines[2:]
 
         frames = so3.sample_uniform(8, 100)
         header = "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123")
@@ -546,8 +609,7 @@ class TestEvalInput:
     def test_more_vertices_than_frames(self, sim_dir, run_dir, tmp_path, capsys):
         frames = so3.FrameSet.from_csv(sim_dir[2] / "frames.csv")
         few = tmp_path / "frames60.csv"
-        with open(few, "w") as fh:
-            so3.FrameSet(frames=frames.frames[:60]).write_csv(fh)
+        so3.FrameSet(frames=frames.frames[:60]).to_csv(few, "0123456789abcdef")
         path = run_dir / "neighbors.csv"
         assert self.evaluate(sim_dir, path, frames=few) == 1
         assert "i = 199 is out of range for 60 frames" in self.error(capsys, path)
@@ -598,7 +660,7 @@ class TestFramesInput:
     def frames_with_row(sim_dir, tmp_path, row):
         lines = (sim_dir[2] / "frames.csv").read_text().splitlines(keepends=True)
         path = tmp_path / "frames.csv"
-        path.write_text("".join(lines[:5] + [row] + lines[6:]))  # data row 4
+        path.write_text("".join(lines[:6] + [row] + lines[7:]))  # data row 4
         return path
 
     @pytest.mark.parametrize("command", ["run", "eval"])
@@ -629,7 +691,7 @@ class TestFramesInput:
         frames = so3.FrameSet.from_csv(sim_dir[2] / "frames.csv").frames.copy()
         frames[4, 0, 0] += 4e-11
         path = tmp_path / "frames.csv"
-        so3.FrameSet(frames=frames).to_csv(path)
+        so3.FrameSet(frames=frames).to_csv(path, "0123456789abcdef")
         assert np.array_equal(so3.FrameSet.from_csv(path).frames, frames)
 
 
@@ -637,8 +699,7 @@ def test_run_names_graph_larger_than_frames(sim_dir, tmp_path, capsys):
     tmp, cfg, sim = sim_dir
     frames = so3.FrameSet.from_csv(sim / "frames.csv")
     few = tmp_path / "frames60.csv"
-    with open(few, "w") as fh:
-        so3.FrameSet(frames=frames.frames[:60]).write_csv(fh)
+    so3.FrameSet(frames=frames.frames[:60]).to_csv(few, "0123456789abcdef")
     graph = sim / "graph_p1.csv"
     spanned = graphs.ObservationGraph.from_csv(graph).n_vertices
     argv = ["run", "--config", cfg, "--frames", str(few), "--graph", str(graph)]
@@ -708,7 +769,10 @@ class TestFrameCount:
         cfg = write_config(tmp_path, n_frames=40, cos_threshold=0.8, image_size=9, **settings)
         out = tmp_path / "img"
         assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        # images checks k_max against n_frames; the config itself checks
+        # knn_k, and its errors name the config file
+        where = "" if message.startswith("k_max") else f"{cfg}: "
+        assert capsys.readouterr().err == f"error: {where}{message}\n"
         assert not out.exists()
 
 
@@ -749,14 +813,14 @@ class TestImages:
         assert metrics["edge_match"] == len(truth & found) / len(truth)
         assert metrics["edge_match"] > 0.0
         # the image graph's CSV carries the config line too
-        tag = f"# config={cli.ExperimentConfig.from_json(cfg).hash()}"
+        config = cli.ExperimentConfig.from_json(cfg).hash()
         csvs = sorted(out.rglob("*.csv"))
         assert {p.name for p in csvs} == {
             "frames.csv", "images_snr8.csv", "image_graph_snr8.csv", "neighbors.csv",
             "spectrum_k1.csv", "scatter_k1.csv",
         }
         for path in csvs:
-            assert tag in path.read_text().splitlines(), path.name
+            assert_csv_layout(path, config)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_index_csv_matches_per_value_format(self, tmp_path, monkeypatch, delta):
@@ -816,7 +880,7 @@ class TestImages:
         out = tmp_path / "img"
         assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: snr_values 16.0 and 16.0000001 both label their files '16'"]
+        assert err == [f"error: {cfg}: snr_values 16.0 and 16.0000001 both label their files '16'"]
         assert not out.exists()
 
     def test_metrics_record_the_image_basis(self, tmp_path):
@@ -844,11 +908,16 @@ class TestImages:
 
 
 class TestOutputDirResolution:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("MFCA_OUT", str(target))
-        cli.main(["theory", "--k", "1", "--h", "0.5"])
-        assert (target / "gaps.csv").exists()
+    def test_config_output_dir_without_flag(self, tmp_path, monkeypatch):
+        # $MFCA_OUT is not read: the directory is --out or the config's
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MFCA_OUT", str(tmp_path / "ignored"))
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "from_config"))
+        assert cli.main(["theory", "--k", "1", "--h", "0.5", "--config", cfg]) == 0
+        assert (tmp_path / "from_config" / "gaps.csv").exists()
+        assert cli.main(["theory", "--k", "1", "--h", "0.5"]) == 0
+        assert (tmp_path / "out" / "gaps.csv").exists()
+        assert not (tmp_path / "ignored").exists()
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MFCA_OUT", str(tmp_path / "ignored"))
@@ -867,3 +936,27 @@ class TestOutputDirResolution:
             ]
         )
         assert code == 1
+
+
+def test_every_csv_has_one_layout(tmp_path):
+    # header, `# config=<hash>` on line 2 and no other comment line, in
+    # every CSV that simulate, run, images and theory write
+    cfg = write_config(
+        tmp_path, seed=2, n_frames=40, cos_threshold=0.8, p_values=[1.0, 0.5], knn_k=3,
+        k_max=2, image_size=9, snr_values=[8.0],
+    )
+    sim = tmp_path / "sim"
+    runs = [
+        ["simulate", "--out", str(sim)],
+        ["run", "--frames", str(sim / "frames.csv"), "--graph", str(sim / "graph_p0.5.csv"),
+         "--out", str(tmp_path / "run")],
+        ["images", "--out", str(tmp_path / "img")],
+        ["theory", "--k", "1,2", "--h", "0.1:0.1:0.3", "--out", str(tmp_path / "theory")],
+    ]
+    for argv in runs:
+        assert cli.main(argv + ["--config", cfg]) == 0
+    config = cli.ExperimentConfig.from_json(cfg).hash()
+    csvs = sorted(tmp_path.rglob("*.csv"))
+    assert len(csvs) == 3 + 5 + 8 + 2
+    for path in csvs:
+        assert_csv_layout(path, config)

@@ -54,3 +54,14 @@ class TestWriteRows:
             csvio.write_rows(io.StringIO(), "%d,%d\n", np.arange(3), np.arange(4))
         with pytest.raises(ValueError):
             csvio.write_rows(io.StringIO(), "%d\n", np.zeros((2, 2)))
+
+
+class TestWriteCsv:
+    def test_header_then_config_then_rows(self, tmp_path):
+        ints, floats, names = _columns(5, 4)
+        path = tmp_path / "t.csv"
+        csvio.write_csv(path, "i,x,name,y", "0123456789abcdef", "%d,%.17g,%s,%.17g\n",
+                        ints, floats, names, -floats)
+        assert path.read_text() == (
+            "i,x,name,y\n# config=0123456789abcdef\n" + _reference(ints, floats, names)
+        )

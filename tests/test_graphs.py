@@ -45,7 +45,7 @@ class TestObservationGraph:
         fs = so3.sample_uniform(3, 200)
         g = graphs.clean_graph(fs, 0.9)
         path = tmp_path / "g.csv"
-        g.to_csv(path)
+        g.to_csv(path, "0123456789abcdef")
         back = graphs.ObservationGraph.from_csv(path, n_vertices=200)
         assert np.array_equal(back.edge_i, g.edge_i)
         assert np.array_equal(back.edge_j, g.edge_j)
@@ -57,24 +57,24 @@ class TestObservationGraph:
         g = graphs.rewire(clean, 0.5, 7)
         assert 0 < np.count_nonzero(g.kind) < g.n_edges
         path = tmp_path / "g.csv"
-        g.to_csv(path)
+        g.to_csv(path, "0123456789abcdef")
         written = path.read_bytes()
+        assert written.splitlines()[1] == b"# config=0123456789abcdef"
+        # files of older versions end with the config line; it is skipped too
         with open(path, "a") as fh:
             fh.write("# config=0123456789abcdef\n")
         back = graphs.ObservationGraph.from_csv(path, n_vertices=300)
         for name in ("edge_i", "edge_j", "theta", "kind"):
             assert np.array_equal(getattr(back, name), getattr(g, name)), name
         again = tmp_path / "again.csv"
-        back.to_csv(again)
+        back.to_csv(again, "0123456789abcdef")
         assert again.read_bytes() == written
 
     def test_csv_round_trip_empty_graph(self, tmp_path):
         empty = make_graph(5, [])
         path = tmp_path / "g.csv"
-        empty.to_csv(path)
-        assert path.read_text() == "i,j,theta,kind\n"
-        with open(path, "a") as fh:
-            fh.write("# config=0123456789abcdef\n")
+        empty.to_csv(path, "0123456789abcdef")
+        assert path.read_text() == "i,j,theta,kind\n# config=0123456789abcdef\n"
         back = graphs.ObservationGraph.from_csv(path)
         assert back.n_vertices == 0 and back.n_edges == 0
         assert graphs.ObservationGraph.from_csv(path, n_vertices=5).n_vertices == 5
@@ -89,9 +89,9 @@ class TestObservationGraph:
             theta=th, kind=kind,
         )
         path = tmp_path / "g.csv"
-        g.to_csv(path)
+        g.to_csv(path, "0123456789abcdef")
         names = {graphs.GOOD: "good", graphs.REWIRED: "rewired"}
-        assert path.read_text().splitlines() == ["i,j,theta,kind"] + [
+        assert path.read_text().splitlines() == ["i,j,theta,kind", "# config=0123456789abcdef"] + [
             f"{e},{e + 1},{format(t, '.17g')},{names[k]}" for e, (t, k) in enumerate(zip(th, kind))
         ]
         back = graphs.ObservationGraph.from_csv(path)
@@ -204,18 +204,21 @@ class TestRowBlocks:
     def test_rows_follow_the_budget(self, monkeypatch):
         monkeypatch.setattr(graphs, "WORK_BYTES", 1000)
         assert list(graphs.row_blocks(25, 100)) == [(0, 10), (10, 20), (20, 25)]
-        assert list(graphs.row_blocks(21, 100)) == [(0, 10), (10, 20), (20, 21)]
         assert list(graphs.row_blocks(0, 100)) == []
+        assert list(graphs.row_blocks(1, 100)) == [(0, 1)]
 
     def test_short_last_block_is_folded(self, monkeypatch):
+        # a one-row block would be a gemv product, which rounds unlike gemm
         monkeypatch.setattr(graphs, "WORK_BYTES", 1000)
-        assert list(graphs.row_blocks(21, 100, min_rows=2)) == [(0, 10), (10, 21)]
-        assert list(graphs.row_blocks(20, 100, min_rows=2)) == [(0, 10), (10, 20)]
+        assert list(graphs.row_blocks(21, 100)) == [(0, 10), (10, 21)]
+        assert list(graphs.row_blocks(22, 100)) == [(0, 10), (10, 20), (20, 22)]
 
     def test_rows_over_the_budget_take_the_minimum(self, monkeypatch):
+        # two rows a block, never one
         monkeypatch.setattr(graphs, "WORK_BYTES", 1000)
-        assert list(graphs.row_blocks(3, 5000)) == [(0, 1), (1, 2), (2, 3)]
-        assert list(graphs.row_blocks(5, 5000, min_rows=2)) == [(0, 2), (2, 5)]
+        assert list(graphs.row_blocks(3, 5000)) == [(0, 3)]
+        assert list(graphs.row_blocks(5, 5000)) == [(0, 2), (2, 5)]
+        assert list(graphs.row_blocks(6, 5000)) == [(0, 2), (2, 4), (4, 6)]
 
 
 @pytest.fixture(scope="module")

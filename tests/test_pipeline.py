@@ -348,7 +348,7 @@ class TestKnnStreamed:
 
     def test_block_rows_follow_the_budget(self):
         def knn_blocks(n):
-            return list(graphs.row_blocks(n, pipeline._KNN_ENTRY_BYTES * n, min_rows=2))
+            return list(graphs.row_blocks(n, pipeline._KNN_ENTRY_BYTES * n))
 
         step = graphs.WORK_BYTES // (pipeline._KNN_ENTRY_BYTES * 600)
         assert knn_blocks(600)[:2] == [(0, step), (step, 2 * step)]

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -201,27 +200,27 @@ class TestFrameSet:
     def test_csv_round_trip_bitwise(self, tmp_path):
         fs = so3.sample_uniform(99, 25)
         path = tmp_path / "frames.csv"
-        fs.to_csv(path)
+        fs.to_csv(path, "0123456789abcdef")
         back = so3.FrameSet.from_csv(path)
         assert np.array_equal(back.frames, fs.frames)
 
-    def test_write_csv_matches_per_value_format(self):
+    def test_write_csv_matches_per_value_format(self, tmp_path):
         # FrameSet does not check orthogonality, so any float can be written
         vals = [-0.0, 5e-324, 1e-5, 1e16, 1e17, np.inf, -np.inf, np.nan, 1.0 / 3.0]
         frames = np.array([vals, vals[::-1]]).reshape(2, 3, 3)
-        buf = io.StringIO()
-        so3.FrameSet(frames=frames).write_csv(buf)
-        assert buf.getvalue().splitlines()[1:] == [
+        path = tmp_path / "frames.csv"
+        so3.FrameSet(frames=frames).to_csv(path, "0123456789abcdef")
+        assert path.read_text().splitlines()[2:] == [
             f"{idx}," + ",".join(format(v, ".17g") for v in r.ravel())
             for idx, r in enumerate(frames)
         ]
 
-    def test_header(self):
-        fs = so3.sample_uniform(1, 2)
-        buf = io.StringIO()
-        fs.write_csv(buf)
-        header = buf.getvalue().splitlines()[0]
-        assert header == "index,r11,r12,r13,r21,r22,r23,r31,r32,r33"
+    def test_header(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        so3.sample_uniform(1, 2).to_csv(path, "0123456789abcdef")
+        assert path.read_text().splitlines()[:2] == [
+            "index,r11,r12,r13,r21,r22,r23,r31,r32,r33", "# config=0123456789abcdef"
+        ]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
