@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import graphs, imaging, pipeline, spectral, wigner as wig
-from .csvio import write_csv
+from .csvio import read_header, write_csv
 from .so3 import FrameSet, sample_uniform
 
 _INT_FIELDS = ("seed", "n_frames", "k_max", "knn_k", "image_size")
 _LIST_FIELDS = ("p_values", "snr_values")
+_NEIGHBORS_HEADER = "i,rank,j,affinity,true_angle_deg"
 
 
 class ConfigError(ValueError):
@@ -263,7 +264,7 @@ def _run_pipeline(
     ii = np.repeat(np.arange(n), K)
     ranks = np.tile(np.arange(K), n)
     write_csv(
-        out / "neighbors.csv", "i,rank,j,affinity,true_angle_deg", config,
+        out / "neighbors.csv", _NEIGHBORS_HEADER, config,
         "%d,%d,%d,%.17g,%.17g\n",
         ii, ranks, neighbors["A^All"].ravel(), values.ravel(), angles["A^All"].ravel(),
     )
@@ -350,19 +351,20 @@ def cmd_images(args) -> int:
 def _read_neighbors(path, n: int) -> np.ndarray:
     """The (n, K) neighbour array of a neighbors.csv written for n frames.
 
-    Every frame must have one row for each rank 0..K-1, and every index
-    must name one of the n frames; anything else raises ValueError naming
-    the file.
+    The header must be the one _run_pipeline writes, every frame must have
+    one row for each rank 0..K-1, and every index must name one of the n
+    frames; anything else raises ValueError naming the file.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(
-                path, delimiter=",", skiprows=1, usecols=(0, 1, 2), dtype=np.int64,
-                ndmin=2,
-            )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with open(path) as fh:
+        read_header(fh, path, _NEIGHBORS_HEADER)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, delimiter=",", usecols=(0, 1, 2), dtype=np.int64, ndmin=2
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if rows.shape[0] == 0:
         raise ValueError(f"{path}: no neighbour rows")
     i, rank, j = rows.T

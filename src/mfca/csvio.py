@@ -1,5 +1,6 @@
-"""The one CSV layout (a header row, `# config=<hash>`, then the rows) and
-bulk row output: each chunk of rows is %-formatted in one C call.
+"""The one CSV layout (a header row, `# config=<hash>`, then the rows),
+bulk row output, in which each chunk of rows is %-formatted in one C call,
+and the header check of every reader.
 
 '%.17g' % x is format(x, '.17g') byte for byte for every float, including
 -0.0, inf, nan and subnormals, so files written here match a per-value
@@ -44,3 +45,11 @@ def write_csv(path, header: str, config: str, template: str, *columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"{header}\n# config={config}\n")
         write_rows(fh, template, *columns)
+
+
+def read_header(fh, path, header: str) -> None:
+    """Read the first line of `fh`, the open CSV at `path`, and raise
+    ValueError naming the file unless it is `header`."""
+    line = fh.readline().strip()
+    if line != header:
+        raise ValueError(f"{path}: unexpected header {line!r} (expected {header})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import read_header, write_csv
 from .so3 import FrameSet, alignment_angles
 
 GOOD = 0
@@ -97,9 +97,7 @@ class ObservationGraph:
         are skipped.  A malformed row, an unknown kind or an edge that the
         constructor rejects raises ValueError naming the file."""
         with open(path) as fh:
-            header = fh.readline().strip()
-            if header != _HEADER:
-                raise ValueError(f"unexpected graph header: {header!r}")
+            read_header(fh, path, _HEADER)
             try:
                 with warnings.catch_warnings():
                     # a graph with no edges is a valid file
@@ -183,70 +181,70 @@ def clean_graph(frames: FrameSet, cos_threshold: float) -> ObservationGraph:
 
 
 def rewire(graph: ObservationGraph, p: float, seed: int) -> ObservationGraph:
-    """Keep each undirected edge with probability p; otherwise replace it by
-    an edge from its lower-index endpoint to a uniformly drawn non-adjacent
-    vertex, carrying a uniform angle.
+    """The probabilistic corruption model: keep each edge with probability
+    p and replace every other edge by a random one with a uniform angle.
 
-    An edge whose endpoint is already adjacent to every other vertex cannot
-    be rewired; it is dropped and counted in dropped_edges.  Deterministic
-    for a fixed seed.
+    - Kept edges stay.
+    - Every other edge (i, j), i < j, becomes (i, t) at a uniform angle.
+      t is uniform over the vertices other than i and j that no kept edge
+      and no other replacement joins to i.
+    - Before each round of draws, an edge whose i has no such t left is
+      dropped and counted in dropped_edges.  This is also what ends the
+      loop on saturated graphs.
+
+    Each round draws all pending targets at once and keeps a draw unless
+    its pair is taken, also by an earlier draw of the round.  The result
+    is sorted by (i, j) and deterministic for a fixed seed.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     n = graph.n_vertices
     rng = np.random.default_rng(seed)
-    adjacency = [set() for _ in range(n)]
-    for i, j in zip(graph.edge_i, graph.edge_j):
-        adjacency[i].add(int(j))
-        adjacency[j].add(int(i))
-
     keep = rng.random(graph.n_edges) < p
-    out_i, out_j, out_theta, out_kind = [], [], [], []
-    dropped = 0
-    for e in range(graph.n_edges):
-        i, j = int(graph.edge_i[e]), int(graph.edge_j[e])
-        if keep[e]:
-            out_i.append(i)
-            out_j.append(j)
-            out_theta.append(float(graph.theta[e]))
-            out_kind.append(int(graph.kind[e]))
-            continue
-        adjacency[i].discard(j)
-        adjacency[j].discard(i)
-        # the replacement must be a new neighbor: the old partner j is excluded
-        target = -1
-        if len(adjacency[i]) < n - 2:
-            # rejection sampling with an explicit fallback enumeration
-            for _ in range(64):
-                cand = int(rng.integers(n))
-                if cand != i and cand != j and cand not in adjacency[i]:
-                    target = cand
-                    break
-            else:
-                candidates = [
-                    v for v in range(n) if v != i and v != j and v not in adjacency[i]
-                ]
-                target = candidates[int(rng.integers(len(candidates)))]
-        if target < 0:
-            dropped += 1
-            continue
-        adjacency[i].add(target)
-        adjacency[target].add(i)
-        a, b = (i, target) if i < target else (target, i)
-        out_i.append(a)
-        out_j.append(b)
-        out_theta.append(float(rng.uniform(0.0, 2.0 * np.pi)))
-        out_kind.append(REWIRED)
-
-    order = np.lexsort((np.array(out_j, dtype=np.int64), np.array(out_i, dtype=np.int64)))
+    src, old = graph.edge_i[~keep], graph.edge_j[~keep]
+    placed = np.full(src.size, -1)  # the key of each replacement, once drawn
+    kept = graph.edge_i[keep] * n + graph.edge_j[keep]
+    taken = np.sort(kept)  # keys i * n + j of all edges placed so far: at the end, the output
+    todo = np.arange(src.size)
+    while True:
+        degree = np.bincount(np.concatenate([taken // n, taken % n]), minlength=n)
+        a, b = src[todo], old[todo]
+        # n - 2 candidates, less the neighbours of a other than b
+        free = n - 2 - degree[a] + _sorted_isin(a * n + b, taken)
+        live = free > 0
+        todo, a, b = todo[live], a[live], b[live]
+        if not todo.size:
+            break
+        # uniform over range(n) without a and b (a < b)
+        t = rng.integers(0, n - 2, size=todo.size)
+        t += t >= a
+        t += t >= b
+        key = np.minimum(a, t) * n + np.maximum(a, t)
+        order = np.argsort(key, kind="stable")
+        ok = np.ones(key.size, dtype=bool)  # the first draw of each key wins
+        ok[order[1:]] = key[order[1:]] != key[order[:-1]]
+        ok &= ~_sorted_isin(key, taken)
+        placed[todo[ok]] = key[ok]
+        new = np.sort(key[ok])
+        taken = np.insert(taken, np.searchsorted(taken, new), new)
+        todo = todo[~ok]
+    placed = placed[placed >= 0]
+    theta = np.empty(taken.size)
+    kind = np.full(taken.size, REWIRED, dtype=np.int8)
+    at = np.searchsorted(taken, kept)
+    theta[at], kind[at] = graph.theta[keep], graph.kind[keep]
+    theta[np.searchsorted(taken, placed)] = rng.uniform(0.0, 2.0 * np.pi, placed.size)
     return ObservationGraph(
-        n_vertices=n,
-        edge_i=np.array(out_i, dtype=np.int64)[order],
-        edge_j=np.array(out_j, dtype=np.int64)[order],
-        theta=np.array(out_theta)[order],
-        kind=np.array(out_kind, dtype=np.int8)[order],
-        dropped_edges=dropped,
+        n, taken // n, taken % n, theta, kind, dropped_edges=int(src.size - placed.size)
     )
+
+
+def _sorted_isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that occur in the sorted array sorted_keys."""
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < sorted_keys.size
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return hit
 
 
 def degrees(graph: ObservationGraph) -> np.ndarray:

@@ -16,12 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import read_header, write_csv
 
 TWO_PI = 2.0 * np.pi
 
 _ORTHO_TOL = 1e-12
 _GIMBAL_TOL = 1e-12
+_FRAMES_HEADER = "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123")
 
 
 class AntipodalFramesError(ValueError):
@@ -104,18 +105,30 @@ class FrameSet:
         """Write the frames, 9 entries a row, with config hash `config`."""
         n = len(self)
         write_csv(
-            path, "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123"), config,
+            path, _FRAMES_HEADER, config,
             "%d" + ",%.17g" * 9 + "\n", np.arange(n), *self.frames.reshape(n, 9).T,
         )
 
     @classmethod
     def from_csv(cls, path) -> "FrameSet":
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        """Read frames written by to_csv; '#' lines are skipped.  A header
+        other than to_csv's, an index column other than 0..n-1 in order or
+        a row that is not a rotation raises ValueError naming the file."""
+        with open(path) as fh:
+            read_header(fh, path, _FRAMES_HEADER)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         if data.shape[1] != 10:
             raise ValueError(f"{path}: frame CSV must have 10 columns (index + 9 entries)")
+        misplaced = data[:, 0] != np.arange(len(data))
+        if misplaced.any():
+            row = int(np.argmax(misplaced))
+            raise ValueError(
+                f"{path}: row {row} has index {data[row, 0]:g}; "
+                f"expected the indices 0..{len(data) - 1} in order"
+            )
         frames = data[:, 1:].reshape(-1, 3, 3)
         bad = _not_rotations(frames)
         if bad.any():

@@ -646,6 +646,14 @@ class TestEvalInput:
         assert self.evaluate(sim_dir, path) == 1
         assert "more than one row for (i, rank) = (2, 1)" in self.error(capsys, path)
 
+    def test_bad_header(self, sim_dir, run_dir, tmp_path, capsys):
+        # no header line: the first neighbour row must not be skipped
+        lines = (run_dir / "neighbors.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "neighbors.csv"
+        path.write_text("".join(lines[2:]))
+        assert self.evaluate(sim_dir, path) == 1
+        assert f"unexpected header {lines[2].strip()!r}" in self.error(capsys, path)
+
     def test_non_integer_index(self, sim_dir, run_dir, tmp_path, capsys):
         path = self.rewrite(run_dir, tmp_path, lambda rows: ["0.5" + rows[0][1:], *rows[1:]])
         assert self.evaluate(sim_dir, path) == 1
@@ -653,29 +661,44 @@ class TestEvalInput:
 
 
 class TestFramesInput:
-    """run and eval reject a frames.csv that does not hold rotations,
-    naming the file."""
+    """run and eval reject a frames.csv without its header, with rows out of
+    index order or with a row that is not a rotation, naming the file."""
 
     @staticmethod
-    def frames_with_row(sim_dir, tmp_path, row):
+    def frames_with_row(sim_dir, tmp_path, row, line=6):
+        """frames.csv with one line replaced; line 6 is data row 4."""
         lines = (sim_dir[2] / "frames.csv").read_text().splitlines(keepends=True)
         path = tmp_path / "frames.csv"
-        path.write_text("".join(lines[:6] + [row] + lines[7:]))  # data row 4
+        path.write_text("".join(lines[:line] + [row] + lines[line + 1:]))
         return path
 
     @pytest.mark.parametrize("command", ["run", "eval"])
     @pytest.mark.parametrize(
-        "row, cause",
+        "row, cause, line",
         [
-            pytest.param("4,0,1,2\n", "the number of columns changed from 10 to 4", id="short"),
-            pytest.param("4,0,1,2,3,4,5,6,7,8\n", "row 4 is not a rotation", id="not-orthogonal"),
-            pytest.param("4,1,0,0,0,1,0,0,0,-1\n", "row 4 is not a rotation", id="det-minus-1"),
-            pytest.param("4,1,0,0,0,1,0,0,0,nan\n", "row 4 is not a rotation", id="nan"),
+            pytest.param("4,0,1,2\n", "the number of columns changed from 10 to 4", 6, id="short"),
+            pytest.param(
+                "4,0,1,2,3,4,5,6,7,8\n", "row 4 is not a rotation", 6, id="not-orthogonal"
+            ),
+            pytest.param("4,1,0,0,0,1,0,0,0,-1\n", "row 4 is not a rotation", 6, id="det-minus-1"),
+            pytest.param("4,1,0,0,0,1,0,0,0,nan\n", "row 4 is not a rotation", 6, id="nan"),
+            # no header line: the first row must not be skipped
+            pytest.param(
+                "0,1,0,0,0,1,0,0,0,1\n", "unexpected header '0,1,0,0,0,1,0,0,0,1'", 0,
+                id="no-header",
+            ),
+            # rows out of order: frame 4 must not take another frame's rotation
+            pytest.param(
+                "5,1,0,0,0,1,0,0,0,1\n", "row 4 has index 5; expected the indices 0..199", 6,
+                id="index-out-of-order",
+            ),
         ],
     )
-    def test_bad_row_names_file(self, sim_dir, run_dir, tmp_path, capsys, command, row, cause):
+    def test_bad_row_names_file(
+        self, sim_dir, run_dir, tmp_path, capsys, command, row, cause, line
+    ):
         tmp, cfg, sim = sim_dir
-        frames = self.frames_with_row(sim_dir, tmp_path, row)
+        frames = self.frames_with_row(sim_dir, tmp_path, row, line)
         argv = [command, "--config", cfg, "--frames", str(frames), "--out", str(tmp_path / "o")]
         if command == "run":
             argv += ["--graph", str(sim / "graph_p1.csv")]

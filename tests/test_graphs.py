@@ -273,7 +273,8 @@ class TestRewire:
         assert g.n_edges + g.dropped_edges == base.n_edges
 
     def test_complete_graph_drops(self):
-        # every vertex adjacent to all others: rewiring has no target
+        # the replacements of K5 compete for its 10 pairs, so a vertex runs
+        # out of free targets once earlier replacements have taken them
         n = 5
         edges = [(i, j, 0.1) for i in range(n) for j in range(i + 1, n)]
         g = graphs.rewire(make_graph(n, edges), 0.0, 1)
@@ -283,6 +284,63 @@ class TestRewire:
     def test_rejects_bad_p(self, base):
         with pytest.raises(ValueError):
             graphs.rewire(base, 1.5, 0)
+
+    def test_lone_edge_is_dropped(self):
+        g = graphs.rewire(make_graph(2, [(0, 1, 0.3)]), 0.0, 0)
+        assert g.n_edges == 0
+        assert g.dropped_edges == 1
+
+    def test_old_partner_is_never_drawn(self):
+        for seed in range(20):
+            g = graphs.rewire(make_graph(3, [(0, 1, 0.3)]), 0.0, seed)
+            assert (g.edge_i.tolist(), g.edge_j.tolist()) == ([0], [2])
+            assert g.kind.tolist() == [graphs.REWIRED]
+            assert g.dropped_edges == 0
+
+    def test_retaken_old_pair_is_no_lost_target(self):
+        # each source keeps a target no other edge can take (0 and 1 have 3,
+        # 2 has 0), so nothing is dropped; 2 may retake the pair (0, 2) that
+        # 0 vacated, which must not count against 0's free targets
+        edges = [(0, 2, 0.1), (1, 2, 0.1), (2, 3, 0.1)]
+        for seed in range(100):
+            g = graphs.rewire(make_graph(4, edges), 0.0, seed)
+            assert g.n_edges == 3
+            assert g.dropped_edges == 0
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("matching", [False, True], ids=["complete", "less-a-matching"])
+    def test_saturated_graphs_end(self, p, matching):
+        n = 7
+        edges = [
+            (i, j, 0.1) for i in range(n) for j in range(i + 1, n)
+            if not (matching and i % 2 == 0 and j == i + 1)
+        ]
+        for seed in range(10):
+            g = graphs.rewire(make_graph(n, edges), p, seed)
+            assert g.n_edges + g.dropped_edges == len(edges)
+            keys = g.edge_i * n + g.edge_j
+            assert np.all(keys[1:] > keys[:-1])  # sorted by (i, j)
+            make_graph(n, list(zip(g.edge_i, g.edge_j, g.theta)))
+
+    @pytest.mark.parametrize("p, seed", [(0.1, 0), (0.5, 3), (0.9, 8)])
+    def test_good_edges_are_the_kept_draws(self, base, p, seed):
+        keep = np.random.default_rng(seed).random(base.n_edges) < p
+        g = graphs.rewire(base, p, seed)
+        good = g.kind == graphs.GOOD
+        assert np.array_equal(g.edge_i[good], base.edge_i[keep])
+        assert np.array_equal(g.edge_j[good], base.edge_j[keep])
+        assert np.array_equal(g.theta[good], base.theta[keep])
+
+    def test_memory_per_edge(self, base):
+        # about 118 bytes an edge; a loop over edges with one Python set
+        # per vertex took 333
+        tracemalloc.start()
+        try:
+            graphs.rewire(base, 0.1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * base.n_edges
 
 
 class TestDegrees:
