@@ -13,14 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import graphs, imaging, pipeline, spectral, wigner as wig
-from .csvio import read_header, write_csv
+from .csvio import read_header, read_rows, write_csv
 from .so3 import FrameSet, sample_uniform
 
 _INT_FIELDS = ("seed", "n_frames", "k_max", "knn_k", "image_size")
@@ -357,14 +356,7 @@ def _read_neighbors(path, n: int) -> np.ndarray:
     """
     with open(path) as fh:
         read_header(fh, path, _NEIGHBORS_HEADER)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    fh, delimiter=",", usecols=(0, 1, 2), dtype=np.int64, ndmin=2
-                )
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        rows = read_rows(fh, path, usecols=(0, 1, 2), dtype=np.int64, ndmin=2)
     if rows.shape[0] == 0:
         raise ValueError(f"{path}: no neighbour rows")
     i, rank, j = rows.T

@@ -1,6 +1,6 @@
 """The one CSV layout (a header row, `# config=<hash>`, then the rows),
 bulk row output, in which each chunk of rows is %-formatted in one C call,
-and the header check of every reader.
+and the header check and row parsing of every reader.
 
 '%.17g' % x is format(x, '.17g') byte for byte for every float, including
 -0.0, inf, nan and subnormals, so files written here match a per-value
@@ -9,6 +9,8 @@ ints, floats and strs, never numpy scalars.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -53,3 +55,16 @@ def read_header(fh, path, header: str) -> None:
     line = fh.readline().strip()
     if line != header:
         raise ValueError(f"{path}: unexpected header {line!r} (expected {header})")
+
+
+def read_rows(fh, path, **loadtxt_args) -> np.ndarray:
+    """np.loadtxt of the comma-separated rows left in `fh`, the open CSV at
+    `path`, with '#' lines skipped.  A file with no rows gives an empty array
+    and no warning; a row that does not parse raises ValueError naming the
+    file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(fh, delimiter=",", **loadtxt_args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

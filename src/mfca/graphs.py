@@ -8,12 +8,11 @@ from the graph Hermitian by construction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_header, write_csv
+from .csvio import read_header, read_rows, write_csv
 from .so3 import FrameSet, alignment_angles
 
 GOOD = 0
@@ -99,12 +98,9 @@ class ObservationGraph:
         with open(path) as fh:
             read_header(fh, path, _HEADER)
             try:
-                with warnings.catch_warnings():
-                    # a graph with no edges is a valid file
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, delimiter=",", dtype=_ROW, ndmin=1)
+                rows = read_rows(fh, path, dtype=_ROW, ndmin=1)  # no edges is valid
             except ValueError as exc:
-                raise ValueError(_bad_row_message(path) or f"{path}: {exc}") from exc
+                raise ValueError(_bad_row_message(path) or str(exc)) from exc
         kind = np.full(rows.size, -1, dtype=np.int8)
         for code, name in enumerate(_KIND_NAMES):
             kind[rows["kind"] == name] = code

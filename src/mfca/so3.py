@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import read_header, write_csv
+from .csvio import read_header, read_rows, write_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,14 +112,14 @@ class FrameSet:
     @classmethod
     def from_csv(cls, path) -> "FrameSet":
         """Read frames written by to_csv; '#' lines are skipped.  A header
-        other than to_csv's, an index column other than 0..n-1 in order or
-        a row that is not a rotation raises ValueError naming the file."""
+        other than to_csv's, no rows, an index column other than 0..n-1 in
+        order or a row that is not a rotation raises ValueError naming the
+        file."""
         with open(path) as fh:
             read_header(fh, path, _FRAMES_HEADER)
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+            data = read_rows(fh, path, ndmin=2)
+        if data.shape[0] == 0:
+            raise ValueError(f"{path}: no frame rows")
         if data.shape[1] != 10:
             raise ValueError(f"{path}: frame CSV must have 10 columns (index + 9 entries)")
         misplaced = data[:, 0] != np.arange(len(data))

@@ -628,6 +628,7 @@ class TestEvalInput:
         assert self.evaluate(sim_dir, path) == 1
         assert "no row for (i, rank) = (100, 0)" in self.error(capsys, path)
 
+    @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" too
     def test_header_only(self, sim_dir, run_dir, tmp_path, capsys):
         path = self.rewrite(run_dir, tmp_path, lambda rows: [])
         assert self.evaluate(sim_dir, path) == 1
@@ -708,6 +709,22 @@ class TestFramesInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {frames}: ")
         assert cause in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" too
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_header_only(self, sim_dir, run_dir, tmp_path, capsys, command):
+        tmp, cfg, sim = sim_dir
+        lines = (sim / "frames.csv").read_text().splitlines(keepends=True)
+        frames = tmp_path / "frames.csv"
+        frames.write_text("".join(lines[:2]))  # the header and the config line
+        argv = [command, "--config", cfg, "--frames", str(frames), "--out", str(tmp_path / "o")]
+        if command == "run":
+            argv += ["--graph", str(sim / "graph_p1.csv")]
+        else:
+            argv += ["--neighbors", str(run_dir / "neighbors.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {frames}: no frame rows\n"
         assert not (tmp_path / "o").exists()
 
     def test_rotations_to_1e10_are_accepted(self, sim_dir, tmp_path):

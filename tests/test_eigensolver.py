@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,14 +129,30 @@ class TestTopEigenpairs:
 
     def test_start_vector_hash(self):
         # every seeded output depends on these exact start vectors: a hash of
-        # the CSR arrays followed by eight zero bytes
-        h = es.HermitianMatrix(data=sp.csr_matrix(random_hermitian(40, 16, density=0.1)))
-        d = h.data
-        payload = d.indptr.tobytes() + d.indices.tobytes() + d.data.tobytes()
-        digest = hashlib.sha256(payload + (0).to_bytes(8, "little")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        v = rng.standard_normal(40)
-        assert np.array_equal(es._start_vector(h), v / np.linalg.norm(v))
+        # the CSR arrays followed by eight zero bytes, for real and complex H
+        m = random_hermitian(40, 16, density=0.1)
+        for dense in (m.real, m):
+            h = es.HermitianMatrix(data=sp.csr_matrix(dense))
+            d = h.data
+            payload = d.indptr.tobytes() + d.indices.tobytes() + d.data.tobytes()
+            digest = hashlib.sha256(payload + (0).to_bytes(8, "little")).digest()
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+            v = rng.standard_normal(40)
+            assert np.array_equal(es._start_vector(h), v / np.linalg.norm(v))
+
+    def test_start_vector_copies_no_matrix_array(self):
+        # hashing a concatenated payload held two copies of H at once
+        rng = np.random.default_rng(0)
+        i, j = rng.integers(0, 2000, (2, 200_000))
+        h = es.HermitianMatrix(data=sp.csr_matrix((np.exp(1j * i), (i, j)), shape=(2000, 2000)))
+        nbytes = sum(a.nbytes for a in (h.data.indptr, h.data.indices, h.data.data))
+        tracemalloc.start()
+        try:
+            es._start_vector(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 10
 
     def test_sparse_path_deterministic(self):
         n = 300
@@ -197,3 +214,45 @@ class TestTopEigenpairs:
         proj_b = b @ b.conj().T
         assert np.max(np.abs(proj_a - proj_b)) < 1e-6
 
+    def test_complex_degenerate_top_space_is_orthonormal(self):
+        # oracle: a complex rank-2 projector q q^H has eigenvalue 1 twice and
+        # its top eigenspace is the span of q; ARPACK's non-symmetric driver
+        # returned a basis with max |V^H V - I| = 0.52 here
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)))
+        h = es.HermitianMatrix(data=sp.csr_matrix(q @ q.conj().T))
+        pairs = es.top_eigenpairs(h, 2)
+        v = pairs.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
+        assert np.allclose(pairs.values, [1.0, 1.0], atol=1e-12)
+        assert np.max(np.abs(v @ v.conj().T - q @ q.conj().T)) < 1e-10
+
+    def test_real_input_stays_real(self, monkeypatch):
+        # real input takes ARPACK's symmetric driver, and the Rayleigh-Ritz
+        # step keeps the vectors real
+        dtypes = []
+        real_eigsh = es.eigsh
+
+        def recording_eigsh(a, **kwargs):
+            dtypes.append(a.dtype)
+            return real_eigsh(a, **kwargs)
+
+        monkeypatch.setattr(es, "eigsh", recording_eigsh)
+        m = random_hermitian(50, 17, density=0.2).real
+        pairs = es.top_eigenpairs(es.HermitianMatrix(data=sp.csr_matrix(m)), 6)
+        assert dtypes == [np.float64]
+        assert not np.any(pairs.vectors.imag)
+        assert np.allclose(pairs.values, np.sort(np.linalg.eigvalsh(m))[::-1][:6], atol=1e-9)
+
+    def test_non_orthonormal_basis_breaks_the_contract(self):
+        # both columns are exact eigenvectors of eigenvalue 1, so only the
+        # orthonormality term can fail: <v0, v1> = 1/sqrt(2)
+        m = sp.csr_matrix(np.diag([1.0, 1.0, 0.5, 0.0]))
+        vecs = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]).T
+        vecs[:, 1] /= np.sqrt(2.0)
+        h = es.HermitianMatrix(data=m)
+        with pytest.raises(es.EigensolverError) as info:
+            es._check_contract(h, np.ones(2), vecs, m @ vecs)
+        assert str(info.value) == (
+            "orthonormality contract violated: max |V^H V - I| = 7.071e-01 > 1.0e-12"
+        )
