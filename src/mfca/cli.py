@@ -204,20 +204,19 @@ def cmd_wigner(args) -> int:
         raise ValueError(
             f"--m {args.m} and --n {args.n} must each lie in [-ell, ell] for --ell {args.ell}"
         )
-    if args.euler is not None:
-        try:
-            phi, theta, psi = (float(x) for x in args.euler.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--euler {args.euler!r} must be three angles phi,theta,psi"
-            ) from None
-        from .so3 import from_euler
-
-        val = wig.wigner_D(args.ell, args.m, args.n, from_euler(phi, theta, psi))
-        print(f"{val.real:.17g}{val.imag:+.17g}j")
-    else:
-        val = wig.wigner_d(args.ell, args.m, args.n, args.theta)
-        print(f"{val:.17g}")
+    if args.euler is None:
+        if not np.isfinite(args.theta):
+            raise ValueError(f"--theta {args.theta!r} must be a finite angle")
+        print(f"{wig.wigner_d(args.ell, args.m, args.n, args.theta):.17g}")
+        return 0
+    try:
+        phi, theta, psi = (float(x) for x in args.euler.split(","))
+    except ValueError:
+        raise ValueError(f"--euler {args.euler!r} must be three angles phi,theta,psi") from None
+    if not np.isfinite([phi, theta, psi]).all():
+        raise ValueError(f"--euler {args.euler!r} must be three finite angles phi,theta,psi")
+    val = wig.wigner_D(args.ell, args.m, args.n, phi, theta, psi)
+    print(f"{val.real:.17g}{val.imag:+.17g}j")
     return 0
 
 
@@ -411,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--euler", help="phi,theta,psi for a full D entry")
+    angles = p.add_mutually_exclusive_group()
+    angles.add_argument("--theta", type=float, default=0.0)
+    angles.add_argument("--euler", help="phi,theta,psi for a full D entry")
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("simulate", help="sample frames and write per-p graphs")

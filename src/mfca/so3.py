@@ -1,43 +1,25 @@
-"""Rotation-group primitives: Euler angles, Haar sampling, viewing directions,
-and ground-truth in-plane alignment angles between frames.
+"""Rotation-group primitives: Haar sampling, frames on disk, viewing
+directions, and ground-truth in-plane alignment angles between frames.
 
 A frame is a 3x3 special-orthogonal matrix whose third column is the viewing
-direction.  The Euler convention is z-x-z:
-
-    R(phi, theta, psi) = Rz(phi) @ Rx(theta) @ Rz(psi)
-
-with phi, psi in [0, 2*pi) and theta in [0, pi].
+direction.  Frames are stored as matrices, never as Euler angles; the
+z-x-z angles of a Wigner D entry go straight to mfca.wigner.wigner_D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import read_header, read_rows, write_csv
 
-TWO_PI = 2.0 * np.pi
-
 _ORTHO_TOL = 1e-12
-_GIMBAL_TOL = 1e-12
 _FRAMES_HEADER = "index," + ",".join(f"r{a}{b}" for a in "123" for b in "123")
 
 
 class AntipodalFramesError(ValueError):
     """Alignment angle is undefined for frames with antipodal viewing directions."""
-
-
-class EulerAngles(NamedTuple):
-    phi: float
-    theta: float
-    psi: float
-
-
-def wrap_angle(a):
-    """Reduce an angle to [0, 2*pi) with floor-based modular reduction."""
-    return np.mod(a, TWO_PI)
 
 
 def _not_rotations(r: np.ndarray) -> np.ndarray:
@@ -47,39 +29,6 @@ def _not_rotations(r: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # NaN entries give a NaN det, rejected below
         det = np.abs(np.linalg.det(r) - 1.0)
     return ~((ortho <= _ORTHO_TOL * 100) & (det <= _ORTHO_TOL * 100))
-
-
-def from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Build the rotation Rz(phi) @ Rx(theta) @ Rz(psi).
-
-    The third column is the viewing direction
-    (sin(phi) sin(theta), -cos(phi) sin(theta), cos(theta)).
-    """
-    cf, sf = np.cos(phi), np.sin(phi)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(psi), np.sin(psi)
-    return np.array(
-        [
-            [cf * cp - sf * sp * ct, -cf * sp - sf * cp * ct, sf * st],
-            [sf * cp + cf * sp * ct, -sf * sp + cf * cp * ct, -cf * st],
-            [sp * st, cp * st, ct],
-        ]
-    )
-
-
-def to_euler(r: np.ndarray) -> EulerAngles:
-    """Invert from_euler.  At gimbal lock (|r33| = 1) the convention psi = 0 is
-    used and phi absorbs the full in-plane angle."""
-    r = np.asarray(r, dtype=float)
-    r33 = min(1.0, max(-1.0, r[2, 2]))
-    theta = float(np.arccos(r33))
-    if np.sin(theta) < _GIMBAL_TOL:
-        # theta in {0, pi}: R = Rz(phi +/- psi) * const, put everything in phi
-        phi = float(np.arctan2(r[1, 0], r[0, 0]))
-        return EulerAngles(float(wrap_angle(phi)), 0.0 if r33 > 0 else np.pi, 0.0)
-    phi = float(np.arctan2(r[0, 2], -r[1, 2]))
-    psi = float(np.arctan2(r[2, 0], r[2, 1]))
-    return EulerAngles(float(wrap_angle(phi)), theta, float(wrap_angle(psi)))
 
 
 @dataclass(frozen=True)
@@ -169,4 +118,4 @@ def alignment_angles(frames: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.n
     s = m[:, 1, 0] - m[:, 0, 1]
     if np.any(np.hypot(c, s) < 1e-12):
         raise AntipodalFramesError("a pair has antipodal viewing directions")
-    return wrap_angle(np.arctan2(s, c))
+    return np.mod(np.arctan2(s, c), 2.0 * np.pi)

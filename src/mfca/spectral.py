@@ -28,7 +28,7 @@ def lambda_quadrature(n: int, k: int, h: float) -> float:
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     lo, hi = 1.0 - h, 1.0
     z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    vals = (1.0 + z) ** k * np.array([jacobi_poly(n - k, 0, 2 * k, zz) for zz in z])
+    vals = (1.0 + z) ** k * jacobi_poly(n - k, 0, 2 * k, z)
     return 0.5 * (hi - lo) * float(weights @ vals) / 2.0 ** (k + 1)
 
 

@@ -1,6 +1,8 @@
 """Jacobi polynomials and Wigner d- and D-matrix entries.
 
-Matrix entries are indexed by (m, n) with m, n in {-ell, ..., ell}.
+Matrix entries are indexed by (m, n) with m, n in {-ell, ..., ell}.  A D
+entry takes the z-x-z Euler angles of the rotation
+R(phi, theta, psi) = Rz(phi) @ Rx(theta) @ Rz(psi), any real values.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ import math
 
 import numpy as np
 
-from .so3 import to_euler
-
 ELL_MAX = 64
 
 
@@ -18,8 +18,9 @@ class WeightCapError(ValueError):
     """Raised for weights ell beyond the supported cap."""
 
 
-def jacobi_poly(n: int, a: int, b: int, x: float) -> float:
-    """P_n^{(a,b)}(x) by the standard three-term recurrence."""
+def jacobi_poly(n: int, a: int, b: int, x: float | np.ndarray) -> float | np.ndarray:
+    """P_n^{(a,b)}(x) by the standard three-term recurrence, elementwise
+    over an array x (degree 0 gives the scalar 1.0, which broadcasts)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     p_prev = 1.0
@@ -66,7 +67,7 @@ def _d_base(ell: int, m: int, n: int, theta: float) -> float:
 
 
 def wigner_d(ell: int, m: int, n: int, theta: float) -> float:
-    """The small d-matrix entry d^ell_{mn}(theta) for theta in [0, pi].
+    """The small d-matrix entry d^ell_{mn}(theta) for any real theta.
 
     The base Jacobi-form evaluation is valid for m >= |n|; other index
     sectors are reached through the symmetries
@@ -84,8 +85,7 @@ def wigner_d(ell: int, m: int, n: int, theta: float) -> float:
     return _d_base(ell, -n, -m, theta)
 
 
-def wigner_D(ell: int, m: int, n: int, x: np.ndarray) -> complex:
-    """D^ell_{mn}(x) = e^{-i m phi} d^ell_{mn}(theta) e^{-i n psi}."""
+def wigner_D(ell: int, m: int, n: int, phi: float, theta: float, psi: float) -> complex:
+    """D^ell_{mn}(phi, theta, psi) = e^{-i m phi} d^ell_{mn}(theta) e^{-i n psi}."""
     _check_indices(ell, m, n)
-    phi, theta, psi = to_euler(x)
     return np.exp(-1j * (m * phi + n * psi)) * wigner_d(ell, m, n, theta)

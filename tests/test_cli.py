@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -267,7 +268,7 @@ class TestWigner:
         assert cli.main(
             ["wigner", "--ell", "1", "--m", "0", "--n", "1", "--euler", "0.2,0.5,1.0"]
         ) == 0
-        val = wigner.wigner_D(1, 0, 1, so3.from_euler(0.2, 0.5, 1.0))
+        val = wigner.wigner_D(1, 0, 1, 0.2, 0.5, 1.0)
         real, imag = format(val.real, ".17g"), format(val.imag, "+.17g")
         assert capsys.readouterr().out == f"{real}{imag}j\n"
 
@@ -296,6 +297,34 @@ class TestWigner:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: --euler {euler!r} must be three angles phi,theta,psi\n"
+
+    def test_euler_theta_outside_zero_pi(self, capsys):
+        # D^1_00 = cos(theta) exactly, for any phi and psi
+        argv = ["wigner", "--ell", "1", "--m", "0", "--n", "0", "--euler", "0.3,-0.5,7"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == format(math.cos(-0.5), ".17g") + "+0j\n"
+
+    def test_theta_and_euler_are_mutually_exclusive(self, capsys):
+        argv = ["wigner", "--ell", "1", "--m", "0", "--n", "0"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--theta", "0.9", "--euler", "0,0.5,0"])
+        assert exc.value.code == 2
+        assert "argument --euler: not allowed with argument --theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--theta", "inf"), ("--theta", "nan"),
+         ("--euler", "nan,0,0"), ("--euler", "0,inf,0"), ("--euler", "0,0,-inf")],
+    )
+    def test_non_finite_angle_names_the_flag(self, capsys, flag, value):
+        assert cli.main(["wigner", "--ell", "1", "--m", "0", "--n", "0", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if flag == "--theta":
+            assert captured.err == f"error: --theta {value} must be a finite angle\n"
+        else:
+            expected = f"error: --euler {value!r} must be three finite angles phi,theta,psi\n"
+            assert captured.err == expected
 
 
 class TestSimulate:

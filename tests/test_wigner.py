@@ -81,6 +81,13 @@ class TestJacobiPoly:
         ref = jacobi_binomial_sum(n, a, b, x)
         assert np.isclose(got, ref, rtol=1e-11, atol=1e-11)
 
+    def test_array_matches_scalar_calls(self):
+        # lambda_quadrature evaluates all its Gauss nodes in one call
+        x = np.concatenate([np.polynomial.legendre.leggauss(13)[0], [-1.0, 0.0, 1.0]])
+        for n, a, b in [(1, 0, 2), (5, 0, 4), (14, 0, 22), (9, 3, 1)]:
+            scalar = np.array([wigner.jacobi_poly(n, a, b, xi) for xi in x])
+            assert np.array_equal(wigner.jacobi_poly(n, a, b, x), scalar)
+
     def test_negative_degree(self):
         with pytest.raises(ValueError):
             wigner.jacobi_poly(-1, 0, 0, 0.5)
@@ -145,13 +152,29 @@ class TestWignerSmallD:
         assert np.isfinite(val)
 
 
+def D(ell, m, n, x):
+    """wigner_D at the oracle's Euler angles of the rotation x."""
+    return wigner.wigner_D(ell, m, n, *theory_oracle.to_euler(x))
+
+
+# gimbal lock (theta 0 and pi), theta outside [0, pi], phi and psi outside [0, 2*pi)
+EULER_ANGLES = [
+    (0.3, 0.0, 1.1),
+    (2.0, np.pi, 0.4),
+    (0.7, -0.5, 2.9),
+    (5.1, 4.0, 0.2),
+    (-1.3, 1.2, 9.5),
+    (7.0, 2.2, -4.0),
+]
+
+
 class TestWignerD:
     def test_identity_rotation(self):
         for ell in (0, 1, 3):
             for m in range(-ell, ell + 1):
                 for n in range(-ell, ell + 1):
                     assert np.isclose(
-                        wigner.wigner_D(ell, m, n, np.eye(3)),
+                        D(ell, m, n, np.eye(3)),
                         1.0 if m == n else 0.0,
                         atol=1e-14,
                     )
@@ -164,8 +187,8 @@ class TestWignerD:
             for m in range(-ell, ell + 1):
                 for n in range(-ell, ell + 1):
                     assert np.isclose(
-                        wigner.wigner_D(ell, m, n, xa),
-                        np.exp(-1j * n * alpha) * wigner.wigner_D(ell, m, n, x),
+                        D(ell, m, n, xa),
+                        np.exp(-1j * n * alpha) * D(ell, m, n, x),
                         atol=1e-10,
                     )
 
@@ -177,10 +200,20 @@ class TestWignerD:
             for m in range(-ell, ell + 1):
                 for n in range(-ell, ell + 1):
                     assert np.isclose(
-                        wigner.wigner_D(ell, m, n, ax),
-                        np.exp(-1j * m * alpha) * wigner.wigner_D(ell, m, n, x),
+                        D(ell, m, n, ax),
+                        np.exp(-1j * m * alpha) * D(ell, m, n, x),
                         atol=1e-10,
                     )
+
+    @pytest.mark.parametrize("phi, theta, psi", EULER_ANGLES)
+    def test_matches_oracle_of_the_rotation(self, phi, theta, psi):
+        # the oracle rebuilds the rotation and reads its angles back into
+        # phi, psi in [0, 2*pi) and theta in [0, pi], psi = 0 at gimbal lock
+        x = theory_oracle.from_euler(phi, theta, psi)
+        for ell in range(5):
+            ms = range(-ell, ell + 1)
+            got = np.array([[wigner.wigner_D(ell, m, n, phi, theta, psi) for n in ms] for m in ms])
+            assert np.max(np.abs(got - theory_oracle.wigner_D_matrix(ell, x))) < 1e-12
 
 
 class TestWignerDMatrix:
@@ -214,7 +247,7 @@ class TestWignerDMatrix:
         # entry (m, n) sits at array index (m + ell, n + ell)
         x = haar(10)[0]
         d = theory_oracle.wigner_D_matrix(3, x)
-        assert np.isclose(d[2 + 3, -1 + 3], wigner.wigner_D(3, 2, -1, x), atol=1e-13)
+        assert np.isclose(d[2 + 3, -1 + 3], D(3, 2, -1, x), atol=1e-13)
 
 
 def extrinsic_column(k, x):

@@ -1,11 +1,13 @@
 """Test-only closed forms of the paper: the eigenvalues lambda_n^(k)(h) as
 the alternating incomplete-Beta sum, its small-h Taylor model and the
 closed forms of the second and third eigenvalues; the factor rotations
-Rz and Rx; and the full Wigner D-matrix of one rotation.
+Rz and Rx, the z-x-z Euler angles of a rotation and back; and the full
+Wigner D-matrix of one rotation.
 
 mfca computes none of these.  They are the oracles that the acceptance
 criteria 1-4 and the unit tests check the package against: mfca.spectral's
-quadrature, top eigenvalue and gap, and mfca.wigner's entries.
+quadrature, top eigenvalue and gap, and mfca.wigner's entries, which take
+Euler angles rather than rotations.
 """
 
 import math
@@ -14,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from mfca.so3 import to_euler
 from mfca.wigner import ELL_MAX, WeightCapError, wigner_d
 
 
@@ -121,6 +122,40 @@ def rot_z(a: float) -> np.ndarray:
 def rot_x(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
+    """Build the rotation Rz(phi) @ Rx(theta) @ Rz(psi).
+
+    The third column is the viewing direction
+    (sin(phi) sin(theta), -cos(phi) sin(theta), cos(theta)).
+    """
+    cf, sf = np.cos(phi), np.sin(phi)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(psi), np.sin(psi)
+    return np.array(
+        [
+            [cf * cp - sf * sp * ct, -cf * sp - sf * cp * ct, sf * st],
+            [sf * cp + cf * sp * ct, -sf * sp + cf * cp * ct, -cf * st],
+            [sp * st, cp * st, ct],
+        ]
+    )
+
+
+def to_euler(r: np.ndarray) -> tuple:
+    """Invert from_euler: (phi, theta, psi) with phi, psi in [0, 2*pi) and
+    theta in [0, pi].  At gimbal lock (|r33| = 1) the convention psi = 0 is
+    used and phi absorbs the full in-plane angle."""
+    r = np.asarray(r, dtype=float)
+    r33 = min(1.0, max(-1.0, r[2, 2]))
+    theta = float(np.arccos(r33))
+    if np.sin(theta) < 1e-12:
+        # theta in {0, pi}: R = Rz(phi +/- psi) * const, put everything in phi
+        phi = float(np.arctan2(r[1, 0], r[0, 0]))
+        return float(np.mod(phi, 2.0 * np.pi)), 0.0 if r33 > 0 else np.pi, 0.0
+    phi = float(np.arctan2(r[0, 2], -r[1, 2]))
+    psi = float(np.arctan2(r[2, 0], r[2, 1]))
+    return float(np.mod(phi, 2.0 * np.pi)), theta, float(np.mod(psi, 2.0 * np.pi))
 
 
 def wigner_D_matrix(ell: int, x: np.ndarray) -> np.ndarray:
