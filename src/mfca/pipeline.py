@@ -91,12 +91,12 @@ def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
     )
 
 
-def _affinity_rows(block: FrequencyBlock, lo: int, hi: int, conj_t: np.ndarray) -> np.ndarray:
+def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
     """Rows lo:hi of A^(k) from the block's unit embedding rows:
     |<Psi(i), Psi(j)>| clipped to [0, 1], with diagonal 1 (0 at isolated
-    vertices, whose rows are zero).  conj_t is the embedding's conjugate
-    transpose."""
-    a = np.abs(block.embedding[lo:hi] @ conj_t)
+    vertices, whose rows are zero).  Only the row block is conjugated."""
+    emb = block.embedding
+    a = np.abs(emb[lo:hi].conj() @ emb.T)
     np.clip(a, 0.0, 1.0, out=a)
     r = np.arange(lo, hi)
     a[r - lo, r] = np.where(block.isolated[lo:hi], 0.0, 1.0)
@@ -129,7 +129,7 @@ def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
 def knn_streamed(blocks: list, K: int) -> tuple:
     """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
     in one pass over blocks of rows within graphs.WORK_BYTES, so no n x n
-    matrix is built; each embedding is conjugated once for the whole pass.
+    matrix is built.
 
     Each row block of A^All is multiplied up in the order of `blocks`, which
     reproduces np.prod over a stacked array bit for bit.  Returns a dict of
@@ -147,11 +147,10 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     neighbors = {name: np.empty((n, K), dtype=np.int64) for name in names.values()}
     neighbors["A^All"] = nb_all = np.empty((n, K), dtype=np.int64)
     values = np.empty((n, K))
-    conj_ts = [b.embedding.conj().T for b in blocks]
     for lo, hi in row_blocks(n, _KNN_ENTRY_BYTES * n):
         prod = None
-        for b, conj_t in zip(blocks, conj_ts):
-            a = _affinity_rows(b, lo, hi, conj_t)
+        for b in blocks:
+            a = _affinity_rows(b, lo, hi)
             if b.k in names:
                 neighbors[names[b.k]][lo:hi] = _top_k(a, lo, K, iso)
             if prod is None:

@@ -367,8 +367,8 @@ def test_criterion_9_invariant_suites():
     )
     b0 = pipeline.embed(clean, 2)
     b1 = pipeline.embed(gauged, 2)
-    a0 = pipeline._affinity_rows(b0, 0, 400, b0.embedding.conj().T)
-    a1_ = pipeline._affinity_rows(b1, 0, 400, b1.embedding.conj().T)
+    a0 = pipeline._affinity_rows(b0, 0, 400)
+    a1_ = pipeline._affinity_rows(b1, 0, 400)
     gauge_dev = float(np.max(np.abs(a0 - a1_)))
 
     # A^All over p copies of one frequency is the p-th power of its affinity

@@ -432,7 +432,7 @@ class TestRun:
         frames = so3.FrameSet.from_csv(sim / "frames.csv")
         graph = graphs.ObservationGraph.from_csv(graph_path, n_vertices=200)
         blocks = [pipeline.embed(graph, k) for k in range(1, 11)]
-        affinities = [pipeline._affinity_rows(b, 0, 200, b.embedding.conj().T) for b in blocks]
+        affinities = [pipeline._affinity_rows(b, 0, 200) for b in blocks]
         prod = np.prod(np.array(affinities), axis=0)
         keys = prod.copy()
         np.fill_diagonal(keys, -np.inf)
