@@ -281,7 +281,7 @@ def _run_pipeline(
 def _check_frame_count(cfg: ExperimentConfig, n: int, source: str) -> None:
     """Reject, before anything is written, a k_max or knn_k that n frames
     cannot serve; `source` says where n came from."""
-    need = 2 * cfg.k_max + 4  # what pipeline.embed needs at k = k_max
+    need = pipeline.min_vertices(cfg.k_max)
     if n < need:
         raise ConfigError(f"k_max {cfg.k_max} needs 2*k_max+4 = {need} frames; {source}")
     if cfg.knn_k >= n:
@@ -437,9 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_angles(argv: list) -> list:
+    """argv with each `--theta X` and `--euler X` joined as `--theta=X`:
+    argparse takes a separate X that starts with '-' for an option unless it
+    reads as -<digits>[.<digits>], so it would refuse -1e-3, -inf or -0.5,0,0."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--theta", "--euler"):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_angles(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SystemExit:

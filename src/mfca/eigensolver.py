@@ -1,8 +1,8 @@
 """Deterministic top-m eigenpair extraction for sparse Hermitian matrices.
 
-Every solve takes the iterative Krylov path (ARPACK) with a start vector
-derived deterministically from a hash of the matrix entries, so repeated
-solves of the same matrix give bit-identical output.  ARPACK returns at most
+Every solve takes the iterative Krylov path (ARPACK) from one fixed seeded
+start vector, so repeated solves of the same matrix give bit-identical
+output, however its entries are stored.  ARPACK returns at most
 n - 2 eigenpairs of an n x n complex matrix, so top_eigenpairs accepts only
 1 <= m < n - 1, for real input too, and has no dense fallback.
 
@@ -15,7 +15,6 @@ and the orthonormality of what is returned.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,19 +73,6 @@ class EigenPairs:
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=complex))
 
 
-def _start_vector(h: HermitianMatrix) -> np.ndarray:
-    # the hash runs over indptr, indices and data, then eight zero bytes:
-    # every seeded output depends on these exact start vectors.  Feeding the
-    # buffers one by one copies none of them.
-    sha = hashlib.sha256()
-    for part in (h.data.indptr, h.data.indices, h.data.data):
-        sha.update(part)
-    sha.update(bytes(8))
-    rng = np.random.default_rng(int.from_bytes(sha.digest()[:8], "little"))
-    v = rng.standard_normal(h.n)
-    return v / np.linalg.norm(v)
-
-
 # The dense steps below (QR, the m x m products, the eigh of the Ritz matrix
 # and the Gram) run on scipy's BLAS and LAPACK, never numpy's.  numpy and
 # scipy each load their own OpenBLAS; after a threaded numpy matmul or
@@ -129,15 +115,12 @@ def _check_contract(h: HermitianMatrix, values, vectors, h_vectors) -> None:
 def top_eigenpairs(h: HermitianMatrix, m: int) -> EigenPairs:
     """The m algebraically largest eigenpairs of h, descending, for
     1 <= m < n - 1, with orthonormal eigenvectors (real for real input).
-
-    Deterministic for fixed input; the start vector is seeded from a hash of
-    the matrix entries.
-    """
+    Every solve starts from one fixed seeded draw; ARPACK normalises it."""
     n = h.n
     if not 1 <= m < n - 1:
         limit = f"ARPACK needs 1 <= m < n - 1 = {n - 1}"
         raise EigensolverError(f"requested m = {m} eigenpairs of an n = {n} matrix; {limit}")
-    v0 = _start_vector(h)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         _, vecs = eigsh(
             h.data, k=m, which="LA", v0=v0, tol=ARPACK_TOL, maxiter=max(1000, 10 * m * 20)

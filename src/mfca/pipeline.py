@@ -72,15 +72,20 @@ def build_H(graph: ObservationGraph, k: int) -> HermitianMatrix:
     return HermitianMatrix(data=sp.csr_matrix((values, (rows, cols)), shape=(n, n)))
 
 
+def min_vertices(k: int) -> int:
+    """Fewest vertices embed serves at frequency k: 2k+2 pairs need n - 1 > 2k+2."""
+    return 2 * k + 4
+
+
 def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
     """Top 2k+1 eigenvectors of the normalized H^(k), one row per vertex;
-    retains 2k+2 eigenvalues so the trailing gap is reportable.  The Krylov
-    solve needs 2k+2 < n - 1, so the graph must have at least 2k+4 vertices."""
+    retains 2k+2 eigenvalues so the trailing gap is reportable.  The graph
+    must have at least min_vertices(k) = 2k+4 vertices."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    if graph.n_vertices < 2 * k + 4:
-        n = graph.n_vertices
-        raise ValueError(f"frequency k={k} needs 2k+4 = {2 * k + 4} vertices; the graph has {n}")
+    n, need = graph.n_vertices, min_vertices(k)
+    if n < need:
+        raise ValueError(f"frequency k={k} needs 2k+4 = {need} vertices; the graph has {n}")
     h = build_H(graph, k)
     pairs = top_eigenpairs(h, 2 * k + 2)
     return FrequencyBlock(

@@ -313,8 +313,26 @@ class TestWigner:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--theta", "inf"), ("--theta", "nan"),
-         ("--euler", "nan,0,0"), ("--euler", "0,inf,0"), ("--euler", "0,0,-inf")],
+        [("--theta", "-1e-3"), ("--euler", "-0.5,0.3,0"),
+         ("--euler", "-1e-3,-2,-inf")],
+    )
+    def test_value_starting_with_minus_is_an_angle(self, capsys, flag, value):
+        # argparse reads only -<digits>[.<digits>] as a negative number; any
+        # other value starting with '-' must reach the flag as with '='
+        argv = ["wigner", "--ell", "1", "--m", "0", "--n", "1"]
+        status = cli.main(argv + [flag, value])
+        spaced = capsys.readouterr()
+        assert status == cli.main(argv + [f"{flag}={value}"])
+        assert spaced == capsys.readouterr()
+        assert "error: argument" not in spaced.err
+        if flag == "--theta":
+            assert spaced.out == format(wigner.wigner_d(1, 0, 1, float(value)), ".17g") + "\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--theta", "inf"), ("--theta", "nan"), ("--theta", "-inf"),
+         ("--euler", "nan,0,0"), ("--euler", "0,inf,0"), ("--euler", "0,0,-inf"),
+         ("--euler", "-inf,0,0")],
     )
     def test_non_finite_angle_names_the_flag(self, capsys, flag, value):
         assert cli.main(["wigner", "--ell", "1", "--m", "0", "--n", "0", flag, value]) == 1

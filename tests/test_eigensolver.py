@@ -1,11 +1,11 @@
-import hashlib
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from mfca import eigensolver as es
+from mfca.graphs import clean_graph
+from mfca.pipeline import build_H
+from mfca.so3 import sample_uniform
 
 
 def random_hermitian(n, seed, density=1.0):
@@ -33,10 +33,14 @@ def char_poly_roots(h):
     return np.sort(roots.real)[::-1]
 
 
-def unit_start_vector(n, seed):
-    """A seeded unit start vector, to stand in for the matrix-hash one."""
-    v = np.random.default_rng(seed).standard_normal(n)
-    return v / np.linalg.norm(v)
+def start_from_seed(monkeypatch, seed):
+    """Make every solve start from another seeded draw than its own."""
+    real_eigsh = es.eigsh
+
+    def seeded_eigsh(a, v0, **kwargs):
+        return real_eigsh(a, v0=np.random.default_rng(seed).standard_normal(v0.size), **kwargs)
+
+    monkeypatch.setattr(es, "eigsh", seeded_eigsh)
 
 
 class TestHermitianMatrix:
@@ -127,32 +131,21 @@ class TestTopEigenpairs:
         pairs = es.top_eigenpairs(h_sparse, 5)
         assert np.allclose(pairs.values, dense_vals, atol=1e-7)
 
-    def test_start_vector_hash(self):
-        # every seeded output depends on these exact start vectors: a hash of
-        # the CSR arrays followed by eight zero bytes, for real and complex H
-        m = random_hermitian(40, 16, density=0.1)
-        for dense in (m.real, m):
-            h = es.HermitianMatrix(data=sp.csr_matrix(dense))
-            d = h.data
-            payload = d.indptr.tobytes() + d.indices.tobytes() + d.data.tobytes()
-            digest = hashlib.sha256(payload + (0).to_bytes(8, "little")).digest()
-            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-            v = rng.standard_normal(40)
-            assert np.array_equal(es._start_vector(h), v / np.linalg.norm(v))
-
-    def test_start_vector_copies_no_matrix_array(self):
-        # hashing a concatenated payload held two copies of H at once
-        rng = np.random.default_rng(0)
-        i, j = rng.integers(0, 2000, (2, 200_000))
-        h = es.HermitianMatrix(data=sp.csr_matrix((np.exp(1j * i), (i, j)), shape=(2000, 2000)))
-        nbytes = sum(a.nbytes for a in (h.data.indptr, h.data.indices, h.data.data))
-        tracemalloc.start()
-        try:
-            es._start_vector(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < nbytes / 10
+    def test_explicit_zero_leaves_eigenpairs_bit_identical(self):
+        # the same H^(k), once with an explicitly stored zero: the output
+        # depends on the matrix, not on how its entries are stored
+        h = build_H(clean_graph(sample_uniform(0, 300), 0.8), 2)
+        d = h.data.tocoo()
+        padded = sp.csr_matrix(
+            (np.append(d.data, 0.0), (np.append(d.row, 0), np.append(d.col, 0))), shape=d.shape
+        )
+        h_zero = es.HermitianMatrix(data=padded)
+        assert h_zero.data.nnz == h.data.nnz + 1
+        assert (h_zero.data != h.data).nnz == 0
+        a = es.top_eigenpairs(h, 6)
+        b = es.top_eigenpairs(h_zero, 6)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
 
     def test_sparse_path_deterministic(self):
         n = 300
@@ -208,8 +201,9 @@ class TestTopEigenpairs:
         m = sp.csr_matrix(q @ q.T)
         h = es.HermitianMatrix(data=m)
         a = es.top_eigenpairs(h, 2).vectors
-        monkeypatch.setattr(es, "_start_vector", lambda h: unit_start_vector(h.n, 99))
+        start_from_seed(monkeypatch, 99)
         b = es.top_eigenpairs(h, 2).vectors
+        assert not np.array_equal(a, b)  # the start did change
         proj_a = a @ a.conj().T
         proj_b = b @ b.conj().T
         assert np.max(np.abs(proj_a - proj_b)) < 1e-6
