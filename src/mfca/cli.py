@@ -240,7 +240,7 @@ def _run_pipeline(
     dict of entries for metrics.json, such as `edge_match`, which is
     printed too."""
     config = cfg.hash()
-    blocks = [pipeline.embed(graph, k) for k in range(1, cfg.k_max + 1)]
+    blocks = pipeline.embed_all(graph, cfg.k_max)
     for block in blocks:
         k, values = block.k, block.eigenvalues
         write_csv(

@@ -33,8 +33,9 @@ ARPACK_TOL = RESIDUAL_TOL / 10
 
 
 class EigensolverError(RuntimeError):
-    """Raised on a request ARPACK cannot serve, an ARPACK failure
-    (non-convergence included), or a violated residual contract."""
+    """Raised on a request ARPACK cannot serve, a non-finite entry, an
+    ARPACK failure (non-convergence included), or a violated residual
+    contract."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,12 @@ class EigenPairs:
 
 # The dense steps below (QR, the m x m products, the eigh of the Ritz matrix
 # and the Gram) run on scipy's BLAS and LAPACK, never numpy's.  numpy and
-# scipy each load their own OpenBLAS; after a threaded numpy matmul or
-# np.linalg call, numpy's BLAS threads keep spinning and take a core from the
-# next ARPACK solve: the solves for k = 1..10 at N=2000, p=0.1 took 2.75 s
-# with numpy's and 1.41 s with scipy's (medians of 5 processes, 2 cores).
+# scipy each load their own OpenBLAS.  Threaded, numpy's BLAS threads kept
+# spinning after a matmul and took a core from the next ARPACK solve (the
+# solves for k = 1..10 at N=2000, p=0.1 took 2.75 s with numpy's and 1.41 s
+# with scipy's, 2 cores); importing mfca now pins both to one thread.  The
+# steps stay on scipy's BLAS so that seeded outputs keep their bytes:
+# numpy's OpenBLAS is another build, whose kernels need not round alike.
 
 
 def _rayleigh_ritz(h: HermitianMatrix, vecs: np.ndarray):
@@ -120,6 +123,12 @@ def top_eigenpairs(h: HermitianMatrix, m: int) -> EigenPairs:
     if not 1 <= m < n - 1:
         limit = f"ARPACK needs 1 <= m < n - 1 = {n - 1}"
         raise EigensolverError(f"requested m = {m} eigenpairs of an n = {n} matrix; {limit}")
+    bad = ~np.isfinite(h.data.data)
+    if bad.any():  # ARPACK would fail on it, and LAPACK print to stdout
+        s = int(np.argmax(bad))
+        row = int(np.searchsorted(h.data.indptr, s, side="right")) - 1
+        col = h.data.indices[s]
+        raise EigensolverError(f"H has a non-finite entry {h.data.data[s]} at ({row}, {col})")
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         _, vecs = eigsh(

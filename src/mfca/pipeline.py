@@ -6,13 +6,16 @@ For each frequency k the graph's alignment angles are encoded as e^{i k
 theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix, from
 one Krylov solve of 2k+2 pairs (so at least 2k+4 vertices), give the
 per-vertex embedding, whose normalized inner products define the affinity
-A^(k).  Affinities multiply across frequencies into the aggregate A^All.
-knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
+A^(k).  embed_all solves the frequencies side by side, every H^(k) on the
+graph's one CSR pattern.  Affinities multiply across frequencies into the
+aggregate A^All.  knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
 of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,22 +57,58 @@ class FrequencyBlock:
         return self.embedding.shape[0]
 
 
-def build_H(graph: ObservationGraph, k: int) -> HermitianMatrix:
-    """The degree-normalized H^(k) = D^{-1/2} W^(k) D^{-1/2}, with W^(k)_ij
-    = e^{i k theta_ij} on edges, as one COO-to-CSR build of both
-    orientations of every edge; zero-degree rows stay empty.  Each value
-    rounds as (inv_sqrt[i] * phase) * inv_sqrt[j], as two diagonal products
-    would; Hermitian via the theta_ji = -theta_ij convention."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = graph.n_vertices
-    degs = degrees(graph)
-    inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
+@dataclass(frozen=True)
+class CsrPattern:
+    """The sparsity pattern that every H^(k) of one graph shares: CSR
+    `indptr` and `indices` over both orientations of every edge, sorted
+    within each row and free of duplicates, so scipy never rewrites these
+    shared arrays; and the gather from edges to CSR slots: slot s holds edge
+    `edge[s]`, as (j, i) where `flip[s]`."""
+
+    indptr: np.ndarray  # (n + 1,)
+    indices: np.ndarray  # (2E,)
+    edge: np.ndarray  # (2E,)
+    flip: np.ndarray  # (2E,) bool
+
+
+def csr_pattern(graph: ObservationGraph) -> CsrPattern:
+    """H^(k)'s CSR pattern, for every k at once; int32 indices while they
+    fit, as scipy's own COO-to-CSR conversion picks."""
+    n, m = graph.n_vertices, graph.n_edges
     rows = np.concatenate([graph.edge_i, graph.edge_j])
     cols = np.concatenate([graph.edge_j, graph.edge_i])
-    phase = np.exp(1j * k * graph.theta)
-    values = (inv_sqrt[rows] * np.concatenate([phase, np.conj(phase)])) * inv_sqrt[cols]
-    return HermitianMatrix(data=sp.csr_matrix((values, (rows, cols)), shape=(n, n)))
+    order = np.argsort(rows * n + cols)  # distinct keys: every sort agrees
+    idx = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(degrees(graph), out=indptr[1:])
+    flip = order >= m
+    return CsrPattern(
+        indptr=indptr, indices=cols[order].astype(idx),
+        edge=np.where(flip, order - m, order).astype(idx), flip=flip,
+    )
+
+
+def build_H(
+    graph: ObservationGraph, k: int, pattern: CsrPattern | None = None
+) -> HermitianMatrix:
+    """The degree-normalized H^(k) = D^{-1/2} W^(k) D^{-1/2}, with W^(k)_ij
+    = e^{i k theta_ij} on edges, its values written straight into CSR order
+    on the graph's csr_pattern (built here unless given); zero-degree rows
+    stay empty.  Each value rounds as (inv_sqrt[i] * phase) * inv_sqrt[j],
+    as two diagonal products would; Hermitian via the theta_ji = -theta_ij
+    convention."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    p = csr_pattern(graph) if pattern is None else pattern
+    n = graph.n_vertices
+    degs = np.diff(p.indptr)
+    inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
+    values = np.exp(1j * k * graph.theta)[p.edge]
+    np.conjugate(values, out=values, where=p.flip)
+    # in place, value * scale rounds as scale * value: one product is zero
+    values *= np.repeat(inv_sqrt, degs)
+    values *= inv_sqrt[p.indices]
+    return HermitianMatrix(data=sp.csr_matrix((values, p.indices, p.indptr), shape=(n, n)))
 
 
 def min_vertices(k: int) -> int:
@@ -77,16 +116,19 @@ def min_vertices(k: int) -> int:
     return 2 * k + 4
 
 
-def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
+def embed(
+    graph: ObservationGraph, k: int, pattern: CsrPattern | None = None
+) -> FrequencyBlock:
     """Top 2k+1 eigenvectors of the normalized H^(k), one row per vertex;
     retains 2k+2 eigenvalues so the trailing gap is reportable.  The graph
-    must have at least min_vertices(k) = 2k+4 vertices."""
+    must have at least min_vertices(k) = 2k+4 vertices; `pattern`, the
+    graph's csr_pattern, is built here unless given."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
     n, need = graph.n_vertices, min_vertices(k)
     if n < need:
         raise ValueError(f"frequency k={k} needs 2k+4 = {need} vertices; the graph has {n}")
-    h = build_H(graph, k)
+    h = build_H(graph, k, pattern)
     pairs = top_eigenpairs(h, 2 * k + 2)
     return FrequencyBlock(
         k=k,
@@ -94,6 +136,47 @@ def embed(graph: ObservationGraph, k: int) -> FrequencyBlock:
         embedding=pairs.vectors[:, : 2 * k + 1],
         isolated=np.diff(h.data.indptr) == 0,  # the empty rows of H^(k)
     )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps
+    one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def embed_all(graph: ObservationGraph, k_max: int) -> list:
+    """[embed(graph, k) for k = 1..k_max] on one shared csr_pattern, solved
+    k_max first on min(k_max, usable_cpus()) threads, the calling thread
+    among them; ARPACK and the CSR products release the GIL.  Every solve
+    is independent and BLAS runs one thread (see the package's __init__),
+    so the blocks are the same bits on any number of threads.  An error in
+    any thread stops every thread from taking another frequency, and is
+    raised once all have stopped."""
+    pattern = csr_pattern(graph)
+    todo = list(range(1, k_max + 1))
+    blocks = {}
+
+    def work():
+        try:
+            while True:
+                try:
+                    k = todo.pop()
+                except IndexError:
+                    return
+                blocks[k] = embed(graph, k, pattern)
+        except BaseException:
+            todo.clear()  # no thread takes another frequency
+            raise
+
+    helpers = min(k_max, usable_cpus()) - 1
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    return [blocks[k] for k in range(1, k_max + 1)]
 
 
 def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:

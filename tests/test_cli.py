@@ -872,6 +872,21 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_pins_blas_to_one_thread_unless_set(preset, expected):
+    # numpy's and scipy's OpenBLAS read the count when they load; an
+    # explicit value is the caller's choice and stays
+    src = str(Path(mfca.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, mfca.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == f"{expected}\n"
+
+
 class TestImages:
     def test_small_end_to_end(self, tmp_path):
         cfg = write_config(

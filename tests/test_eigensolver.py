@@ -89,23 +89,33 @@ class TestTopEigenpairs:
         resid = m @ pairs.vectors - pairs.vectors * pairs.values[None, :]
         assert np.max(np.linalg.norm(resid, axis=0)) < 1e-10 * max(1, np.linalg.norm(m))
 
-    def test_nan_entry_breaks_the_contract(self, monkeypatch):
+    def test_nan_entry_breaks_the_contract(self):
         # a NaN residual compares False against the tolerance, so the
-        # contract must not pass on a failed comparison; the solver stands
-        # in with the exact pairs of the matrix without its NaN entries
+        # contract must not pass on a failed comparison; it is checked with
+        # the exact pairs of the matrix without its NaN entries, which
+        # top_eigenpairs itself refuses before any solve
         m = np.diag([1.0, 0.5, 0.2, 0.1, 0.0]).astype(complex)
-        exact = (np.diag(m).real[:3], np.eye(5, 3, dtype=complex))
+        values, vectors = np.diag(m).real[:3], np.eye(5, 3, dtype=complex)
         m[0, 1] = m[1, 0] = np.nan
-        monkeypatch.setattr(es, "eigsh", lambda *args, **kwargs: exact)
         with pytest.raises(es.EigensolverError, match="residual contract"):
-            es.top_eigenpairs(es.HermitianMatrix(data=m), 3)
+            es._check_contract(es.HermitianMatrix(data=m), values, vectors, m @ vectors)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_nan_entry_on_the_krylov_path(self, dtype):
-        # ARPACK fails on a NaN matvec with a bare "ARPACK error -9999"
+    def test_nan_entry_on_the_krylov_path(self, dtype, capfd):
+        # ARPACK would fail on a NaN matvec, after LAPACK printed
+        # "** On entry to ZLASCL parameter number 4 had an illegal value"
         m = np.diag(np.linspace(1.0, 0.1, 12)).astype(dtype)
-        m[0, 1] = m[1, 0] = np.nan
-        with pytest.raises(es.EigensolverError, match="iterative solver failed"):
+        m[3, 7] = m[7, 3] = np.nan
+        with pytest.raises(es.EigensolverError, match=r"non-finite entry .*nan.* at \(3, 7\)$"):
+            es.top_eigenpairs(es.HermitianMatrix(data=sp.csr_matrix(m)), 3)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_first_non_finite_entry_is_named(self, bad):
+        m = np.diag(np.linspace(1.0, 0.1, 12)).astype(complex)
+        m[9, 2] = m[2, 9] = bad
+        m[5, 10] = m[10, 5] = np.nan
+        with pytest.raises(es.EigensolverError, match=r"at \(2, 9\)$"):
             es.top_eigenpairs(es.HermitianMatrix(data=sp.csr_matrix(m)), 3)
 
     def test_permutation_invariance(self):

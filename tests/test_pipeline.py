@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,19 @@ def two_step_H(graph, k):
     degs = np.diff(h.indptr).astype(float)
     d = sp.diags(np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0))
     return d @ h @ d
+
+
+def coo_H(graph, k):
+    """Reference H^(k): the one COO-to-CSR build of both orientations of
+    every edge that build_H used before the shared CSR pattern."""
+    n = graph.n_vertices
+    degs = graphs.degrees(graph)
+    inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
+    rows = np.concatenate([graph.edge_i, graph.edge_j])
+    cols = np.concatenate([graph.edge_j, graph.edge_i])
+    phase = np.exp(1j * k * graph.theta)
+    values = (inv_sqrt[rows] * np.concatenate([phase, np.conj(phase)])) * inv_sqrt[cols]
+    return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 def _traced(fn):
@@ -113,6 +127,28 @@ class TestBuildH:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_matches_coo_build(self, clean, k):
+        # vertices 0 and 7 lose their edges, so their rows stay empty
+        graph = _edges(clean, ~np.isin(clean.edge_i, [0, 7]) & ~np.isin(clean.edge_j, [0, 7]))
+        pattern = pipeline.csr_pattern(graph)
+        ref = coo_H(graph, k)
+        for got in (pipeline.build_H(graph, k).data, pipeline.build_H(graph, k, pattern).data):
+            assert np.all(np.diff(got.indptr)[[0, 7]] == 0)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_shares_the_pattern(self, clean):
+        # every H^(k) of one graph holds the pattern's own index arrays,
+        # which scipy never rewrites: they are sorted and free of duplicates
+        pattern = pipeline.csr_pattern(clean)
+        for k in (1, 4):
+            h = pipeline.build_H(clean, k, pattern).data
+            for name in ("indptr", "indices"):
+                assert np.shares_memory(getattr(h, name), getattr(pattern, name)), name
+            assert h.has_canonical_format
 
 
 class TestNormalize:
@@ -186,6 +222,39 @@ class TestEmbed:
         block = pipeline.embed(complete(n), k)
         assert block.embedding.shape == (n, 2 * k + 1)
         assert block.eigenvalues.shape == (2 * k + 2,)
+
+
+class TestEmbedAll:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_matches_embed_bit_for_bit(self, clean, blocks, monkeypatch, cpus):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        got = pipeline.embed_all(clean, 3)
+        assert [b.k for b in got] == [1, 2, 3]
+        for a, b in zip(got, blocks):
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            assert a.embedding.tobytes() == b.embedding.tobytes()
+            assert np.array_equal(a.isolated, b.isolated)
+
+    def test_worker_error_is_raised(self, clean, monkeypatch):
+        # a helper thread's H^(k) gets a NaN; the calling thread holds its
+        # own frequency until a helper has started, so a helper fails
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        helper_started = threading.Event()
+        real_build = pipeline.build_H
+
+        def build(graph, k, pattern=None):
+            h = real_build(graph, k, pattern)
+            if threading.current_thread() is threading.main_thread():
+                helper_started.wait(timeout=30)
+            else:
+                helper_started.set()
+                h.data.data[0] = np.nan
+            return h
+
+        monkeypatch.setattr(pipeline, "build_H", build)
+        with pytest.raises(eigensolver.EigensolverError, match="non-finite entry"):
+            pipeline.embed_all(clean, 3)
+        assert helper_started.is_set()
 
 
 class TestAffinity:
