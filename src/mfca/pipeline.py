@@ -6,16 +6,16 @@ For each frequency k the graph's alignment angles are encoded as e^{i k
 theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix, from
 one Krylov solve of 2k+2 pairs (so at least 2k+4 vertices), give the
 per-vertex embedding, whose normalized inner products define the affinity
-A^(k).  embed_all solves the frequencies side by side, every H^(k) on the
-graph's one CSR pattern.  Affinities multiply across frequencies into the
-aggregate A^All.  knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
+A^(k).  embed_all solves the frequencies side by side on a thread pool,
+every H^(k) on the graph's one CSR pattern.  Affinities multiply across
+frequencies into the aggregate A^All.  knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
 of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,36 +147,23 @@ def usable_cpus() -> int:
 
 
 def embed_all(graph: ObservationGraph, k_max: int) -> list:
-    """[embed(graph, k) for k = 1..k_max] on one shared csr_pattern, solved
-    k_max first on min(k_max, usable_cpus()) threads, the calling thread
-    among them; ARPACK and the CSR products release the GIL.  Every solve
-    is independent and BLAS runs one thread (see the package's __init__),
-    so the blocks are the same bits on any number of threads.  An error in
-    any thread stops every thread from taking another frequency, and is
-    raised once all have stopped."""
+    """[embed(graph, k) for k = 1..k_max] on one shared csr_pattern, queued
+    k_max first, so the longest solve starts first, on a pool of
+    min(k_max, usable_cpus()) threads; ARPACK and the CSR products release
+    the GIL.  Every solve is independent and BLAS runs one thread (see the
+    package's __init__), so the blocks are the same bits on any number of
+    threads.  The first error, or an interrupt, cancels every frequency not
+    yet started; it is raised once the running ones have stopped."""
     pattern = csr_pattern(graph)
-    todo = list(range(1, k_max + 1))
-    blocks = {}
-
-    def work():
-        try:
-            while True:
-                try:
-                    k = todo.pop()
-                except IndexError:
-                    return
-                blocks[k] = embed(graph, k, pattern)
-        except BaseException:
-            todo.clear()  # no thread takes another frequency
-            raise
-
-    helpers = min(k_max, usable_cpus()) - 1
-    with ThreadPoolExecutor(max(helpers, 1)) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for future in futures:
-            future.result()
-    return [blocks[k] for k in range(1, k_max + 1)]
+    pool = ThreadPoolExecutor(min(k_max, usable_cpus()))
+    futures = [pool.submit(embed, graph, k, pattern) for k in range(k_max, 0, -1)]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # a failed frequency ran, so it is never skipped here: the list comes
+    # back short only by raising its error
+    return [f.result() for f in futures if not f.cancelled()][::-1]
 
 
 def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
@@ -198,9 +185,10 @@ def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
     np.partition finds each row's K-th value; only the candidates at or above
     it are sorted, by (-affinity, index), so ties go to the lower index, at
     the K boundary too.  A row with fewer than K candidates is filled from
-    the excluded entries, again in index order.
+    the isolated columns in index order, keyed at -1 below every clipped
+    affinity; the diagonal, keyed at -inf, is never needed since K < n.
     """
-    keys = np.where(isolated, -np.inf, a)
+    keys = np.where(isolated, -1.0, a)
     r = np.arange(a.shape[0])
     keys[r, r + lo] = -np.inf
     n = keys.shape[1]
@@ -224,7 +212,8 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     (n, K) neighbor lists keyed "A^(k)" then "A^All", and A^All's values at
     its neighbors.  Ties break toward the lower index; isolated vertices are
     excluded from candidacy and receive neighbor lists drawn from the
-    remaining pool.
+    remaining pool.  A row with fewer than K candidates is filled with
+    isolated vertices in index order, never with the vertex itself.
     """
     n = blocks[0].n
     if not 1 <= K < n:

@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 
 import numpy as np
@@ -235,26 +234,36 @@ class TestEmbedAll:
             assert a.embedding.tobytes() == b.embedding.tobytes()
             assert np.array_equal(a.isolated, b.isolated)
 
-    def test_worker_error_is_raised(self, clean, monkeypatch):
-        # a helper thread's H^(k) gets a NaN; the calling thread holds its
-        # own frequency until a helper has started, so a helper fails
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
-        helper_started = threading.Event()
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad_k", [1, 3])
+    def test_worker_error_is_raised(self, clean, monkeypatch, cpus, bad_k):
+        # the failing frequency's own error, never CancelledError, whether it
+        # is queued first (k_max) or last (k = 1)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         real_build = pipeline.build_H
 
         def build(graph, k, pattern=None):
             h = real_build(graph, k, pattern)
-            if threading.current_thread() is threading.main_thread():
-                helper_started.wait(timeout=30)
-            else:
-                helper_started.set()
+            if k == bad_k:
                 h.data.data[0] = np.nan
             return h
 
         monkeypatch.setattr(pipeline, "build_H", build)
         with pytest.raises(eigensolver.EigensolverError, match="non-finite entry"):
             pipeline.embed_all(clean, 3)
-        assert helper_started.is_set()
+
+    def test_longest_solve_starts_first(self, clean, monkeypatch):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        entered = []
+        real_embed = pipeline.embed
+
+        def embed(graph, k, pattern=None):
+            entered.append(k)
+            return real_embed(graph, k, pattern)
+
+        monkeypatch.setattr(pipeline, "embed", embed)
+        assert [b.k for b in pipeline.embed_all(clean, 3)] == [1, 2, 3]
+        assert entered == [3, 2, 1]
 
 
 class TestAffinity:
@@ -360,12 +369,12 @@ def _random_blocks(n, ks, seed, isolated=(), constant=False):
 
 
 def _lexsort_knn(a, K, isolated):
-    """Reference K-NN: a full per-row sort by (-affinity, index)."""
-    a = np.array(a, dtype=float)
-    np.fill_diagonal(a, -np.inf)
-    a[:, isolated] = -np.inf
+    """Reference K-NN: a full per-row sort by (-affinity, index), with the
+    isolated columns after every other and the vertex itself last."""
     idx = np.arange(a.shape[0])
-    return np.array([np.lexsort((idx, -row))[:K] for row in a])
+    return np.array(
+        [np.lexsort((idx, -row, isolated, idx == i))[:K] for i, row in enumerate(a)]
+    )
 
 
 class TestKnnStreamed:
@@ -397,6 +406,18 @@ class TestKnnStreamed:
     def test_rejects_bad_K(self):
         with pytest.raises(ValueError):
             pipeline.knn_streamed(_random_blocks(5, (1,), 0), 5)
+
+    def test_short_rows_never_list_themselves(self):
+        # 20 connected vertices and 40 isolated ones: every row has fewer
+        # than K = 30 candidates and is filled with isolated vertices
+        n, K = 60, 30
+        blocks = _random_blocks(n, (1, 2), 4, isolated=range(20, n))
+        got, values = pipeline.knn_streamed(blocks, K)
+        rows = np.arange(n)[:, None]
+        for name, nb in got.items():
+            assert not (nb == rows).any(), name
+            assert all(len(set(row)) == K for row in nb), name
+        assert np.all(np.diff(values, axis=1) <= 0)
 
     def test_memory_is_row_blocked(self):
         # ten n x n float64 affinities alone would take 320 MB at n = 2000
