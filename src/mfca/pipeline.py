@@ -6,21 +6,38 @@ For each frequency k the graph's alignment angles are encoded as e^{i k
 theta_ij}; the top 2k+1 eigenvectors of the degree-normalized matrix, from
 one Krylov solve of 2k+2 pairs (so at least 2k+4 vertices), give the
 per-vertex embedding, whose normalized inner products define the affinity
-A^(k).  embed_all solves the frequencies side by side on a thread pool,
-every H^(k) on the graph's one CSR pattern.  Affinities multiply across
-frequencies into the aggregate A^All.  knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
+A^(k).  Affinities multiply across frequencies into the aggregate A^All.
+knn_streamed is the one nearest-neighbor path: it makes one pass over blocks
 of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
+
+Both stages run on fork_map's forked worker processes, one a usable CPU:
+embed_all's solves, every H^(k) on the graph's one CSR pattern, and
+knn_streamed's runs of row blocks.  Processes, not threads, because scipy's
+ARPACK holds the GIL.  With one usable CPU, or where the platform cannot
+fork, the same tasks run in the calling process.  On 2 cores this took
+embed_all from 0.59 to 0.48 s and knn_streamed from 0.26 to 0.15 s at
+N=2000, and from 3.9 to 2.0 s at N=8000.  Each worker sets its OpenBLAS to
+one thread, so a program that imported numpy before mfca, with BLAS threads
+in its own process (see the package's __init__), does not oversubscribe the
+cores with them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import signal
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import graphs
 from .eigensolver import HermitianMatrix, top_eigenpairs
 from .graphs import ObservationGraph, degrees, row_blocks, upper_pairs
 from .so3 import FrameSet
@@ -146,24 +163,141 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def embed_all(graph: ObservationGraph, k_max: int) -> list:
-    """[embed(graph, k) for k = 1..k_max] on one shared csr_pattern, queued
-    k_max first, so the longest solve starts first, on a pool of
-    min(k_max, usable_cpus()) threads; ARPACK and the CSR products release
-    the GIL.  Every solve is independent and BLAS runs one thread (see the
-    package's __init__), so the blocks are the same bits on any number of
-    threads.  The first error, or an interrupt, cancels every frequency not
-    yet started; it is raised once the running ones have stopped."""
-    pattern = csr_pattern(graph)
-    pool = ThreadPoolExecutor(min(k_max, usable_cpus()))
-    futures = [pool.submit(embed, graph, k, pattern) for k in range(k_max, 0, -1)]
+_job = None  # a fork_map worker's function, inherited through fork
+
+# the thread-count setters of OpenBLAS builds: plain, 64-bit-integer, and as
+# numpy's and scipy's wheels rename them
+_BLAS_SET_THREADS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.  A program
+    that imported numpy before mfca, with OPENBLAS_NUM_THREADS unset, loaded
+    OpenBLAS with a thread a core; forked workers, one a core, would then
+    oversubscribe the cores (knn_streamed ran 2-25x slower).  The loaded
+    libraries are found in the process's memory map, so only Linux's."""
+    paths = set()
     try:
-        wait(futures, return_when=FIRST_EXCEPTION)
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(None, 5)  # the sixth, when present, is the path
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    paths.add(fields[5].strip())
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, s) for s in _BLAS_SET_THREADS if hasattr(lib, s)), None)
+        if setter is not None:
+            setter(1)
+
+
+def _adopt(fn, parent: int) -> None:
+    """Start a fork_map worker: keep fn, run BLAS on one thread, leave an
+    interrupt to the parent, which lets the running tasks finish, and die
+    with the parent.  A worker waits on a queue whose write end it holds
+    itself, so without the kernel's parent-death signal (Linux prctl) it
+    would outlive a parent killed outright, by SIGKILL or SIGTERM, blocked
+    for good."""
+    global _job
+    _job = fn
+    _one_blas_thread()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+    except (AttributeError, OSError):  # no prctl: not Linux
+        return
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(1)
+
+
+def _run_task(task):
+    return task, _job(task)
+
+
+def fork_map(stage: str, fn, tasks: list):
+    """Yield (task, fn(task)) for every task, as each finishes, on
+    min(len(tasks), usable_cpus()) forked worker processes, queued in the
+    order of `tasks`.  The workers inherit fn, and whatever it binds (a
+    functools.partial's arguments), through fork, so only each task and its
+    result are pickled; the pool forks them all before it starts a thread
+    of its own.  At most one task more than there are workers is out at a
+    time: the next is submitted only when the caller asks for another
+    result, so at most that many results wait in this process, however
+    slowly the caller consumes them.
+
+    The tasks run here, in order, with one worker, where the platform
+    cannot fork, or when fn (or the function a partial binds) was wrapped
+    by a decorator that sets __wrapped__, as functools.wraps does: such a
+    wrapper (a profiler's span, a cache) keeps its records in the process
+    that calls it, and a worker's copy would die with the worker.
+
+    The first error, or an interrupt, cancels every task not yet started; it
+    is raised once the running ones have stopped.  A worker that dies (a
+    signal, the OOM killer) raises ChildProcessError naming `stage` and its
+    exit status.  No worker outlives the call, nor an abandoned iteration.
+    """
+    workers = min(len(tasks), usable_cpus())
+    if (
+        workers <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or hasattr(getattr(fn, "func", fn), "__wrapped__")
+    ):
+        for task in tasks:
+            yield task, fn(task)
+        return
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt, initargs=(fn, os.getpid()),
+    )
+    queue = iter(tasks)
+    try:
+        out = {pool.submit(_run_task, task) for task in islice(queue, workers + 1)}
+        while out:
+            done, out = wait(out, return_when=FIRST_COMPLETED)
+            while done:
+                # no reference to a yielded result stays here
+                yield done.pop().result()
+                out |= {pool.submit(_run_task, task) for task in islice(queue, 1)}
+    except BrokenProcessPool as exc:
+        # the pool's own map of its workers: one that has died is missing
+        # from active_children(), and shutdown drops the map
+        forked = list(pool._processes.values())
+        pool.shutdown()  # joins every worker, so each has its exit code
+        raise ChildProcessError(f"{stage}: {_death(forked)}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
-    # a failed frequency ran, so it is never skipped here: the list comes
-    # back short only by raising its error
-    return [f.result() for f in futures if not f.cancelled()][::-1]
+
+
+def _death(workers: list) -> str:
+    """How the first worker to die ended; once the pool breaks, the others
+    are stopped with SIGTERM."""
+    codes = [p.exitcode for p in workers if p.exitcode]
+    code = next((c for c in codes if c != -signal.SIGTERM), codes[0] if codes else None)
+    if code is None:
+        return "a worker process died"
+    if code < 0:
+        name = {sig.value: sig.name for sig in signal.Signals}.get(-code, f"signal {-code}")
+        return f"a worker process was killed by {name}"
+    return f"a worker process ended with exit status {code}"
+
+
+def embed_all(graph: ObservationGraph, k_max: int) -> list:
+    """[embed(graph, k) for k = 1..k_max] on one shared csr_pattern, by
+    fork_map, queued k_max first so the longest solve starts first.  Worker
+    processes, not threads: scipy's ARPACK holds the GIL.  Every solve is
+    independent and BLAS runs one thread (see the package's __init__), so
+    the blocks are the same bits on any number of workers."""
+    pattern = csr_pattern(graph)
+    ks = list(range(k_max, 0, -1))
+    got = dict(fork_map("embed", partial(embed, graph, pattern=pattern), ks))
+    return [got[k] for k in range(1, k_max + 1)]
 
 
 def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
@@ -202,10 +336,49 @@ def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
     return cand_col[order[first[:, None] + np.arange(K)]]
 
 
+def _knn_runs(n: int, K: int, lists: int) -> list:
+    """knn_streamed's row blocks, in consecutive runs: as many blocks a run
+    as keep its outputs, `lists` neighbor lists and the values, within a
+    quarter of graphs.WORK_BYTES.  fork_map keeps at most workers + 1 runs
+    out, so the parent holds at most that many runs' results, and the one
+    message it is receiving, beside the outputs.  No block is split, so
+    every row rounds alike however the runs are shared among workers."""
+    blocks = list(row_blocks(n, _KNN_ENTRY_BYTES * n))
+    run_bytes = (blocks[0][1] - blocks[0][0]) * K * 8 * (lists + 1)
+    per_run = max(1, graphs.WORK_BYTES // (4 * run_bytes))
+    return [blocks[i : i + per_run] for i in range(0, len(blocks), per_run)]
+
+
+def _knn_rows(blocks: list, K: int, names: dict, run: list) -> tuple:
+    """knn_streamed's outputs for the rows of `run`, a list of consecutive
+    row blocks, each multiplied up in the order of `blocks`."""
+    start, stop = run[0][0], run[-1][1]
+    iso = blocks[0].isolated
+    lists = {name: np.empty((stop - start, K), dtype=np.int64) for name in names.values()}
+    lists["A^All"] = nb_all = np.empty((stop - start, K), dtype=np.int64)
+    values = np.empty((stop - start, K))
+    for lo, hi in run:
+        rows = slice(lo - start, hi - start)
+        prod = None
+        for b in blocks:
+            a = _affinity_rows(b, lo, hi)
+            if b.k in names:
+                lists[names[b.k]][rows] = _top_k(a, lo, K, iso)
+            if prod is None:
+                prod = a
+            else:
+                prod *= a
+        nb_all[rows] = _top_k(prod, lo, K, iso)
+        values[rows] = np.take_along_axis(prod, nb_all[rows], axis=1)
+    return lists, values
+
+
 def knn_streamed(blocks: list, K: int) -> tuple:
     """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
     in one pass over blocks of rows within graphs.WORK_BYTES, so no n x n
-    matrix is built.
+    matrix is built.  Runs of blocks go to fork_map's workers, forked after
+    the blocks exist, so no embedding is copied; each run's outputs are
+    copied into place as it arrives.
 
     Each row block of A^All is multiplied up in the order of `blocks`, which
     reproduces np.prod over a stacked array bit for bit.  Returns a dict of
@@ -218,24 +391,18 @@ def knn_streamed(blocks: list, K: int) -> tuple:
     n = blocks[0].n
     if not 1 <= K < n:
         raise ValueError("K must satisfy 1 <= K < n")
-    iso = blocks[0].isolated
     ks = {b.k for b in blocks}
     names = {k: f"A^({k})" for k in REPORTED_KS if k in ks}
     neighbors = {name: np.empty((n, K), dtype=np.int64) for name in names.values()}
-    neighbors["A^All"] = nb_all = np.empty((n, K), dtype=np.int64)
+    neighbors["A^All"] = np.empty((n, K), dtype=np.int64)
     values = np.empty((n, K))
-    for lo, hi in row_blocks(n, _KNN_ENTRY_BYTES * n):
-        prod = None
-        for b in blocks:
-            a = _affinity_rows(b, lo, hi)
-            if b.k in names:
-                neighbors[names[b.k]][lo:hi] = _top_k(a, lo, K, iso)
-            if prod is None:
-                prod = a
-            else:
-                prod *= a
-        nb_all[lo:hi] = _top_k(prod, lo, K, iso)
-        values[lo:hi] = np.take_along_axis(prod, nb_all[lo:hi], axis=1)
+    runs = _knn_runs(n, K, len(neighbors))
+    for run, (lists, vals) in fork_map("knn", partial(_knn_rows, blocks, K, names), runs):
+        rows = slice(run[0][0], run[-1][1])
+        for name, nb in lists.items():
+            neighbors[name][rows] = nb
+        values[rows] = vals
+        del lists, vals  # fork_map's bound counts no run held here
     return neighbors, values
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -780,6 +782,37 @@ class TestFramesInput:
         path = tmp_path / "frames.csv"
         so3.FrameSet(frames=frames).to_csv(path, "0123456789abcdef")
         assert np.array_equal(so3.FrameSet.from_csv(path).frames, frames)
+
+
+@pytest.mark.parametrize(
+    "stage, how, cause",
+    [
+        ("embed", "exit", "a worker process ended with exit status 3"),
+        ("knn", "kill", "a worker process was killed by SIGKILL"),
+    ],
+)
+def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, stage, how, cause):
+    tmp, cfg, sim = sim_dir
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        assert os.getpid() != parent, "the stage ran in the test process"
+        if how == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    if stage == "embed":
+        monkeypatch.setattr(pipeline, "embed", die)
+    else:
+        # 8-row blocks, so the 200 rows make three runs
+        monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * 200)
+        monkeypatch.setattr(pipeline, "_knn_rows", die)
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+    code = cli.main(argv + ["--graph", str(sim / "graph_p1.csv"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {stage}: {cause}\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_run_names_graph_larger_than_frames(sim_dir, tmp_path, capsys):

@@ -1,9 +1,20 @@
+import functools
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mfca
 from mfca import eigensolver, graphs, pipeline, so3
 
 
@@ -233,6 +244,7 @@ class TestEmbedAll:
             assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
             assert a.embedding.tobytes() == b.embedding.tobytes()
             assert np.array_equal(a.isolated, b.isolated)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("bad_k", [1, 3])
@@ -251,6 +263,7 @@ class TestEmbedAll:
         monkeypatch.setattr(pipeline, "build_H", build)
         with pytest.raises(eigensolver.EigensolverError, match="non-finite entry"):
             pipeline.embed_all(clean, 3)
+        assert multiprocessing.active_children() == []
 
     def test_longest_solve_starts_first(self, clean, monkeypatch):
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
@@ -264,6 +277,145 @@ class TestEmbedAll:
         monkeypatch.setattr(pipeline, "embed", embed)
         assert [b.k for b in pipeline.embed_all(clean, 3)] == [1, 2, 3]
         assert entered == [3, 2, 1]
+
+
+class TestForkMap:
+    def test_forks_from_one_thread(self, clean, monkeypatch):
+        # Python 3.12 warns on a fork from a process that runs other
+        # threads, whose locks the child may inherit held: the pool must
+        # fork every worker before it starts its own threads
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * clean.n_vertices)
+        threads = []
+        real_fork = os.fork
+
+        def fork():
+            threads.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = pipeline.embed_all(clean, 3)
+            pipeline.knn_streamed(blocks, 10)
+        assert threads == [1] * 4  # two workers for each stage
+        assert multiprocessing.active_children() == []
+
+    def test_wrapped_function_runs_here(self, clean, monkeypatch):
+        # a wrapper made with functools.wraps, as a profiler's spans are,
+        # records in the process that calls it; in a worker its records
+        # would be lost, so fork_map runs the tasks in this process
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        calls, forks = [], []
+        real_embed, real_fork = pipeline.embed, os.fork
+
+        @functools.wraps(real_embed)
+        def embed(graph, k, pattern=None):
+            calls.append(k)
+            return real_embed(graph, k, pattern)
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(pipeline, "embed", embed)
+        monkeypatch.setattr(os, "fork", fork)
+        assert [b.k for b in pipeline.embed_all(clean, 3)] == [1, 2, 3]
+        assert calls == [3, 2, 1]
+        assert forks == []
+
+    def test_at_most_one_task_more_than_workers_is_out(self, monkeypatch):
+        # a caller that is slow to take the results holds back the queue:
+        # by its i-th result, at most 3 + i of the tasks have started
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        started = multiprocessing.get_context("fork").Value("i", 0)
+        seen = []
+        for task, _ in pipeline.fork_map("test", functools.partial(_count, started), list(range(8))):
+            time.sleep(0.2)  # long enough for every submitted task to finish
+            seen.append((task, started.value))
+        assert sorted(task for task, _ in seen) == list(range(8))
+        assert all(s <= min(3 + i, 8) for i, (_, s) in enumerate(seen)), seen
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the memory map is Linux's")
+    def test_workers_run_one_blas_thread(self):
+        # numpy imported before mfca, with no thread count set, loads
+        # OpenBLAS with a thread a core; each worker must still run one
+        script = (
+            "import numpy\n"
+            "import ctypes, multiprocessing\n"
+            "from mfca import pipeline\n"
+            "def blas_threads(_):\n"
+            "    paths = {line.split(None, 5)[-1].strip() for line in open('/proc/self/maps')}\n"
+            "    libs = [ctypes.CDLL(p) for p in paths if 'openblas' in p.rsplit('/', 1)[-1]]\n"
+            "    names = [s.replace('_set_', '_get_') for s in pipeline._BLAS_SET_THREADS]\n"
+            "    return [getattr(lib, s)() for lib in libs for s in names if hasattr(lib, s)]\n"
+            "pipeline.usable_cpus = lambda: 2\n"
+            "print(max(blas_threads(None)), flush=True)\n"
+            "for _, counts in pipeline.fork_map('test', blas_threads, [0, 1, 2]):\n"
+            "    print(*counts, flush=True)\n"
+        )
+        src = str(Path(mfca.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        parent, *workers = out.stdout.split("\n")[:4]
+        if os.cpu_count() > 1:  # else OpenBLAS starts with one thread anyway
+            assert int(parent) > 1
+        assert len(workers) == 3
+        for line in workers:
+            counts = [int(c) for c in line.split()]
+            assert counts and set(counts) == {1}, line
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+    def test_workers_die_with_their_parent(self):
+        # task 0 sleeps, so at the first result, of task 1, one worker is
+        # in a task and the other waits on the queue when the parent lists
+        # them and kills itself; nothing else would end either
+        script = (
+            "import multiprocessing, os, signal, time\n"
+            "from mfca import pipeline\n"
+            "pipeline.usable_cpus = lambda: 2\n"
+            "for _ in pipeline.fork_map('test', lambda t: t or time.sleep(60), [0, 1, 2]):\n"
+            "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(Path(mfca.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        # one line, not the whole of stdout: a surviving worker holds it open
+        with subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+        ) as parent:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert parent.wait(timeout=60) == -signal.SIGKILL
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        try:
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _count(counter, task):
+    with counter.get_lock():
+        counter.value += 1
+    return task
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestAffinity:
@@ -419,15 +571,19 @@ class TestKnnStreamed:
             assert all(len(set(row)) == K for row in nb), name
         assert np.all(np.diff(values, axis=1) <= 0)
 
-    def test_memory_is_row_blocked(self):
-        # ten n x n float64 affinities alone would take 320 MB at n = 2000
+    def test_memory_is_row_blocked(self, monkeypatch):
+        # ten n x n float64 affinities alone would take 320 MB at n = 2000;
+        # this and the next two tests run in this process, where tracemalloc
+        # sees every block, on the code each forked worker runs
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         blocks = _random_blocks(2000, range(1, 11), 11)
         peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
         assert peak < 64 * 2**20
 
-    def test_memory_stays_flat_in_n(self):
+    def test_memory_stays_flat_in_n(self, monkeypatch):
         # 256-row blocks peaked at 75 MB here and blocks within the work
         # budget at about 13 MB; the test above peaks at about 11 MB
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         blocks = _random_blocks(8000, (1, 2), 12)
         peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
         assert peak < 40 * 2**20
@@ -437,10 +593,55 @@ class TestKnnStreamed:
         # what the pass keeps (the conjugated embeddings and the outputs)
         # plus one block, which measured about 0.8 WORK_BYTES at both sizes
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         blocks = _random_blocks(n, range(1, 11), 13)
         kept = sum(b.embedding.nbytes for b in blocks) + 5 * n * 50 * 8
         peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
         assert peak - kept < 2 * graphs.WORK_BYTES
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_parent_memory_with_workers(self, monkeypatch, cpus):
+        # The parent keeps the outputs (the embeddings predate the trace)
+        # and, by fork_map's bound of cpus + 1 tasks out at a time, at most
+        # cpus + 1 runs' results: cpus waiting and one being copied; plus
+        # one message in receipt, whose buffer takes up to about 1.1 runs.
+        # So cpus + 3 runs leaves most of a run to spare; this measured 2.3
+        # to 3.1 runs.  Gathering the runs before copying them would add
+        # all 16 runs.
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        n, K = 4000, 50
+        blocks = _random_blocks(n, range(1, 11), 13)
+        runs = pipeline._knn_runs(n, K, 4)
+        assert len(runs) == 16
+        run_bytes = max(r[-1][1] - r[0][0] for r in runs) * K * 8 * 5
+        peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, K))
+        assert peak - 5 * n * K * 8 < (cpus + 3) * run_bytes
+        assert multiprocessing.active_children() == []
+
+    def test_same_bytes_on_any_worker_count(self, monkeypatch):
+        # 60 rows repeat 12 distinct ones, so every row ties with rows on
+        # both sides of each run boundary and the lower index must win; 4-row
+        # blocks, 2 to a run, give 8 runs
+        n, K = 60, 9
+        monkeypatch.setattr(graphs, "WORK_BYTES", 4 * pipeline._KNN_ENTRY_BYTES * n)
+        blocks = []
+        for b in _random_blocks(12, range(1, 11), 14):
+            emb = np.tile(b.embedding, (5, 1))
+            blocks.append(pipeline.FrequencyBlock(
+                k=b.k, eigenvalues=b.eigenvalues, embedding=emb, isolated=np.zeros(n, bool)
+            ))
+        assert len(pipeline._knn_runs(n, K, 4)) == 8
+        prod = np.prod(np.array([affinity(b) for b in blocks]), axis=0)
+        got = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+            got[cpus] = pipeline.knn_streamed(blocks, K)
+        assert np.array_equal(got[1][0]["A^All"], _lexsort_knn(prod, K, blocks[0].isolated))
+        for cpus in (2, 3):
+            for name, nb in got[1][0].items():
+                assert nb.tobytes() == got[cpus][0][name].tobytes(), (cpus, name)
+            assert got[1][1].tobytes() == got[cpus][1].tobytes(), cpus
 
     def test_block_rows_follow_the_budget(self):
         def knn_blocks(n):
