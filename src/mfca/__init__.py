@@ -5,9 +5,10 @@ theory behind it."""
 import os
 
 # One BLAS thread each for numpy's and scipy's OpenBLAS, unless the caller
-# set a count: pipeline.fork_map runs the frequency solves and the K-NN row
-# blocks on forked worker processes, one a core (in this process when there
-# is one core), and BLAS threads in every worker would oversubscribe the
+# set a count: pipeline.fork_map runs the frequency solves, the K-NN row
+# blocks and the image graph's coefficient chunks and alignment row blocks
+# on forked worker processes, one a core (in this process when there is
+# one core), and BLAS threads in every worker would oversubscribe the
 # cores for no gain on their small products.  Read when numpy and scipy
 # load, so it is set before any of them do.  A program that imports numpy
 # before mfca keeps BLAS threads in its own process; fork_map's workers set

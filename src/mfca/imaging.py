@@ -5,6 +5,16 @@ ranks set by the noise, rotationally invariant distances with in-plane
 alignment estimation in that basis, and construction of an observation
 graph from images alone.
 
+The image graph's two per-image passes after the basis run on
+pipeline.fork_map's forked workers, each task writing its own disjoint
+slice: _coefficients' chunks of images (stage "coefficients") and
+_align_pairs' row blocks of pairs (stage "align").  The basis's own pass
+over the images stays in the calling process (see image_basis), and so do
+projection and noise: their results, a chunk of images each, raised the
+calling process's peak memory when they came from workers.  On 2 cores
+this took image_graph at N=2000 from 5.3 to 3.1 s at SNR 16 and from 4.3
+to 2.5 s at SNR 4.
+
 An image stack is one float64 (n, L, L) array with L odd, so a center pixel
 exists.  Pixel convention: pixels[a, b] = I(s_a, t_b) with s, t running over
 a uniform grid on [-EXTENT, EXTENT] = [-1, 1] (axis 0 is the first in-plane
@@ -16,6 +26,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +34,7 @@ import scipy.sparse as sp
 
 from . import graphs
 from .graphs import ObservationGraph, row_blocks, upper_pairs
+from .pipeline import fork_map
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
@@ -38,6 +50,9 @@ _BAND = 5  # ring offsets -2..2, the only ones whose samples share a pixel
 # temporaries per entry of a block of the gather's B B^T: its CSR and COO
 # indices and value, the ring and angle of both samples, and the key
 _KERNEL_ENTRY_BYTES = 64
+# temporaries per pair of an alignment tile: its cross-powers at every
+# frequency, the correlation at every shift, and its place in the triangle
+_PAIR_BYTES = 16 * N_M + 8 * N_THETA + 64
 
 
 @dataclass(frozen=True)
@@ -192,18 +207,24 @@ def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
     return polar, radii
 
 
-def _angular_spectra(images):
-    """(lo, hi, z) over chunks of the checked stack `images`, each within
-    graphs.WORK_BYTES, with z of shape
-    (N_M, L // 2, hi - lo) and z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)),
-    F_i(m, r) being image i's m-th angular Fourier coefficient on the ring
-    of radius r.  Then z_i(m)^H z_j(m) = sum_r r F_i(m, r) conj(F_j(m, r)),
-    the radially weighted cross-power of images i and j at frequency m.
-    """
+def _spectra_chunks(images) -> list:
+    """The (lo, hi) chunks of the checked stack `images` for
+    _angular_spectra, each within graphs.WORK_BYTES."""
     n_r = images.shape[1] // 2
     # per image: the polar samples and one gathered corner, then the
     # spectrum, its transposed copy and that copy's conjugate
-    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M)):
+    return list(row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M)))
+
+
+def _angular_spectra(images, chunks: list):
+    """(lo, hi, z) over the (lo, hi) `chunks` of the checked stack `images`,
+    with z of shape (N_M, L // 2, hi - lo) and
+    z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)), F_i(m, r) being image i's
+    m-th angular Fourier coefficient on the ring of radius r.  Then
+    z_i(m)^H z_j(m) = sum_r r F_i(m, r) conj(F_j(m, r)), the radially
+    weighted cross-power of images i and j at frequency m.
+    """
+    for lo, hi in chunks:
         polar, radii = polar_resample(images[lo:hi])
         spectra = np.fft.rfft(polar, axis=-1)
         del polar
@@ -311,7 +332,11 @@ def image_basis(images) -> ImageBasis:
     TCI 2016), with ranks set by the noise.
 
     One pass over chunks of images accumulates G_m = (1/n) sum_i z_i(m)
-    z_i(m)^H for every m.  White pixel noise of variance sigma^2 adds
+    z_i(m)^H for every m.  The pass stays in this process, unlike
+    _coefficients': its sum, chunk by chunk in order, sets the basis's
+    bits, and a worker would send back each chunk's Gram matrices
+    (N_M x (L // 2)^2 complex, 3 MB at L = 65), which costs more than
+    forming them.  White pixel noise of variance sigma^2 adds
     sigma^2 N_m to G_m, with N_m from _noise_gram, so
 
         sigma^2 = sum_m tr G_m / sum_m tr N_m    over m >= NOISE_BAND,
@@ -329,7 +354,7 @@ def image_basis(images) -> ImageBasis:
     gram = np.zeros((N_M, n_r, n_r), dtype=complex)
     # the Gram update in blocks of frequencies, each an eighth of the budget
     m_blocks = list(row_blocks(N_M, 8 * 16 * n_r * n_r))
-    for _, _, z in _angular_spectra(images):
+    for _, _, z in _angular_spectra(images, _spectra_chunks(images)):
         zh = np.conj(z).transpose(0, 2, 1)
         for a, b in m_blocks:
             gram[a:b] += z[a:b] @ zh[a:b]
@@ -350,23 +375,36 @@ def image_basis(images) -> ImageBasis:
     return ImageBasis(sigma=float(np.sqrt(sigma2)), vectors=tuple(vectors[: m_max + 1]))
 
 
+def _chunk_coefficients(images, basis_h: np.ndarray, chunk: tuple) -> np.ndarray:
+    """basis_h @ z for the images of one chunk of _angular_spectra: their
+    complex coefficients, shape (m_max + 1, r, hi - lo)."""
+    [(_, _, z)] = _angular_spectra(images, [chunk])
+    return basis_h @ z[: len(basis_h)]
+
+
 def _coefficients(images, basis: ImageBasis) -> tuple[np.ndarray, np.ndarray]:
     """Each image's coefficients U_m^H z_i(m) in the basis, zero-padded to
     r = max r_m and split into real parts over imaginary parts, shape
     (m_max + 1, 2 r, n) float64; and their energies, the radially weighted
     squared norms of the images projected onto the basis, by Parseval over
     the full angular spectrum (frequencies 0 < m < N_THETA / 2 count
-    twice)."""
+    twice).
+
+    The chunks of images go to fork_map's workers, forked after the stack
+    exists, so no image is copied; each chunk's coefficients are written
+    into its own columns as they arrive, so the bytes are the same on any
+    number of workers."""
     ranks = basis.ranks
     n_r, width = images.shape[1] // 2, max(ranks)
     basis_h = np.zeros((len(ranks), width, n_r), dtype=complex)
     for m, u in enumerate(basis.vectors):
         basis_h[m, : u.shape[1]] = np.conj(u).T
     coeffs = np.empty((len(ranks), 2 * width, len(images)))
-    for lo, hi, z in _angular_spectra(images):
-        c = basis_h @ z[: len(ranks)]
+    task = partial(_chunk_coefficients, images, basis_h)
+    for (lo, hi), c in fork_map("coefficients", task, _spectra_chunks(images)):
         coeffs[:, :width, lo:hi] = c.real
         coeffs[:, width:, lo:hi] = c.imag
+        del c  # fork_map's bound counts no chunk held here
     twice = np.full(len(ranks), 2.0)
     twice[0] = 1.0
     if len(ranks) == N_M:
@@ -413,35 +451,57 @@ def _align_tile(
     return np.sqrt(d2), shifts
 
 
+def _triangle_start(row, n):
+    """Position of pair (row, row + 1) in the row-major upper triangle of n
+    images: the number of pairs of rows 0..row-1."""
+    return row * (2 * n - row - 1) // 2
+
+
+def _align_rows(coeffs: np.ndarray, energies: np.ndarray, block: tuple) -> tuple:
+    """Distances and best shifts of every pair i < j with i in the rows
+    lo:hi of `block`: one contiguous stretch of the row-major triangle,
+    from _triangle_start(lo) to _triangle_start(hi), aligned in tiles of
+    these rows by column tiles, each within graphs.WORK_BYTES at any n."""
+    lo, hi = block
+    n = coeffs.shape[2]
+    start = _triangle_start(lo, n)
+    dist = np.empty(_triangle_start(hi, n) - start)
+    shift = np.empty(dist.size, dtype=np.int16)
+    # columns lo + 1.. hold every pair of these rows, at least hi - lo of
+    # them; per column: its two right-hand columns
+    tile_column = (hi - lo) * _PAIR_BYTES + 16 * coeffs.shape[0] * coeffs.shape[1]
+    for c0, c1 in row_blocks(n - lo - 1, tile_column):
+        c0, c1 = c0 + lo + 1, c1 + lo + 1
+        d, s = _align_tile(coeffs, energies, slice(lo, hi), slice(c0, c1))
+        i = np.arange(lo, hi)[:, None]
+        j = np.arange(c0, c1)
+        pairs = j > i
+        at = (_triangle_start(i, n) + j - i - 1)[pairs] - start
+        dist[at] = d[pairs]
+        shift[at] = s[pairs]
+    return dist, shift
+
+
 def _align_pairs(coeffs: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances (float64) and best shifts (int16, in [0, N_THETA)) of every
     pair i < j, as row-major upper-triangle vectors.
 
-    The pairs are covered by tiles of rows x columns, each within
-    graphs.WORK_BYTES at any n.
+    The rows go in blocks, about as many as the side of a square tile
+    within graphs.WORK_BYTES, to fork_map's workers, forked after the
+    coefficients exist, so only each block's stretch of the triangle
+    travels.  A pair is aligned in the same tile on any number of workers,
+    so the bytes are the same.
     """
-    n_m, n = coeffs.shape[0], coeffs.shape[2]
-    # per pair of a tile: its cross-powers at every frequency, the
-    # correlation at every shift, and its place in the triangle; per
-    # column: its two right-hand columns
-    pair_bytes = 16 * N_M + 8 * N_THETA + 64
-    column_bytes = 16 * coeffs.shape[0] * coeffs.shape[1]
-    side = max(2, math.isqrt(graphs.WORK_BYTES // pair_bytes))
+    n = coeffs.shape[2]
+    side = max(2, math.isqrt(graphs.WORK_BYTES // _PAIR_BYTES))
     flat = np.empty(n * (n - 1) // 2)
     flat_shift = np.empty(flat.size, dtype=np.int16)
-    for lo, hi in row_blocks(n - 1, side * pair_bytes):
-        # columns lo + 1.. hold every pair of these rows, at least hi - lo
-        # of them
-        tile_column = (hi - lo) * pair_bytes + column_bytes
-        for c0, c1 in row_blocks(n - lo - 1, tile_column):
-            c0, c1 = c0 + lo + 1, c1 + lo + 1
-            d, s = _align_tile(coeffs, energies, slice(lo, hi), slice(c0, c1))
-            i = np.arange(lo, hi)[:, None]
-            j = np.arange(c0, c1)
-            pairs = j > i
-            at = (i * (2 * n - i - 1) // 2 + j - i - 1)[pairs]
-            flat[at] = d[pairs]
-            flat_shift[at] = s[pairs]
+    blocks = list(row_blocks(n - 1, side * _PAIR_BYTES))
+    for (lo, _), (d, s) in fork_map("align", partial(_align_rows, coeffs, energies), blocks):
+        start = _triangle_start(lo, n)
+        flat[start : start + d.size] = d
+        flat_shift[start : start + d.size] = s
+        del d, s  # fork_map's bound counts no block held here
     return flat, flat_shift
 
 

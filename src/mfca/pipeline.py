@@ -12,24 +12,22 @@ of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
 
 Both stages run on fork_map's forked worker processes, one a usable CPU:
 embed_all's solves, every H^(k) on the graph's one CSR pattern, and
-knn_streamed's runs of row blocks.  Processes, not threads, because scipy's
-ARPACK holds the GIL.  With one usable CPU, or where the platform cannot
-fork, the same tasks run in the calling process.  On 2 cores this took
-embed_all from 0.59 to 0.48 s and knn_streamed from 0.26 to 0.15 s at
-N=2000, and from 3.9 to 2.0 s at N=8000.  Each worker sets its OpenBLAS to
-one thread, so a program that imported numpy before mfca, with BLAS threads
-in its own process (see the package's __init__), does not oversubscribe the
-cores with them.
+knn_streamed's runs of row blocks; so do the image path's coefficient
+chunks and alignment row blocks (see imaging).  Processes, not threads,
+because scipy's ARPACK holds the GIL.  With one usable CPU, or where the
+platform cannot fork, the same tasks run in the calling process, and the
+process pool is not imported.  On 2 cores this took embed_all from 0.59 to
+0.48 s and knn_streamed from 0.26 to 0.15 s at N=2000, and from 3.9 to
+2.0 s at N=8000.  Each worker sets its OpenBLAS to one thread, so a program
+that imported numpy before mfca, with BLAS threads in its own process (see
+the package's __init__), does not oversubscribe the cores with them.
 """
 
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
 import signal
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -244,14 +242,15 @@ def fork_map(stage: str, fn, tasks: list):
     exit status.  No worker outlives the call, nor an abandoned iteration.
     """
     workers = min(len(tasks), usable_cpus())
-    if (
-        workers <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or hasattr(getattr(fn, "func", fn), "__wrapped__")
-    ):
+    if workers <= 1 or not hasattr(os, "fork") or hasattr(getattr(fn, "func", fn), "__wrapped__"):
         for task in tasks:
             yield task, fn(task)
         return
+    # imported here, so that `import mfca` does not pay for the process pool
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt, initargs=(fn, os.getpid()),

@@ -789,6 +789,8 @@ class TestFramesInput:
     [
         ("embed", "exit", "a worker process ended with exit status 3"),
         ("knn", "kill", "a worker process was killed by SIGKILL"),
+        ("coefficients", "kill", "a worker process was killed by SIGKILL"),
+        ("align", "exit", "a worker process ended with exit status 3"),
     ],
 )
 def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, stage, how, cause):
@@ -802,14 +804,25 @@ def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, sta
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+    argv += ["--graph", str(sim / "graph_p1.csv")]
     if stage == "embed":
         monkeypatch.setattr(pipeline, "embed", die)
-    else:
+    elif stage == "knn":
         # 8-row blocks, so the 200 rows make three runs
         monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * 200)
         monkeypatch.setattr(pipeline, "_knn_rows", die)
-    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
-    code = cli.main(argv + ["--graph", str(sim / "graph_p1.csv"), "--out", str(tmp_path / "o")])
+    else:
+        # 2-row alignment blocks and 2-image chunks: about 30 tasks each
+        # for 60 images; the coefficients run before the alignment
+        monkeypatch.setattr(graphs, "WORK_BYTES", 4 * imaging._PAIR_BYTES)
+        task = "_chunk_coefficients" if stage == "coefficients" else "_align_rows"
+        monkeypatch.setattr(imaging, task, die)
+        argv = ["images", "--config", write_config(
+            tmp_path, n_frames=60, cos_threshold=0.8, k_max=2, knn_k=5,
+            image_size=9, snr_values=[8.0],
+        )]
+    code = cli.main(argv + ["--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {stage}: {cause}\n"
     assert multiprocessing.active_children() == []

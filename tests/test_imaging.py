@@ -1,3 +1,5 @@
+import math
+import multiprocessing
 import re
 import struct
 import tracemalloc
@@ -8,7 +10,7 @@ from scipy.ndimage import map_coordinates
 
 import image_oracle
 import theory_oracle
-from mfca import graphs, imaging, so3
+from mfca import graphs, imaging, pipeline, so3
 
 
 @pytest.fixture(scope="module")
@@ -436,10 +438,13 @@ class TestImageGraph:
         assert np.array_equal(flat, ref_flat)
         assert np.array_equal(shift, ref_shift)
 
-    def test_memory_is_row_blocked(self, phantom):
+    def test_memory_is_row_blocked(self, phantom, monkeypatch):
         # the per-row loop with n x n distance and angle arrays peaked at
         # 118 MB here, the row-blocked full-band kernel at about 71 MB, and
-        # the tiles over the compressed coefficients at about 27 MB
+        # the tiles over the compressed coefficients at about 27 MB.  This
+        # and the next three tests run in this process, where tracemalloc
+        # sees every tile, on the code each forked worker runs
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         imgs = imaging.project(phantom, haar(3, 800), L=33)
         tracemalloc.start()
         try:
@@ -455,6 +460,7 @@ class TestImageGraph:
         # distances, about 18 bytes a pair here; int64 shifts and
         # np.triu_indices took about 35
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         n = 2000
         imgs = imaging.project(phantom, haar(3, n), L=5)
         tracemalloc.start()
@@ -471,6 +477,7 @@ class TestImageGraph:
         # distances, int16 shifts, the quantile's copy), one tile of pairs
         # or one chunk of images
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**22)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         imgs = imaging.project(phantom, haar(44, n), L=65)
         coeffs = imaging._coefficients(imgs, imaging.image_basis(imgs))[0].nbytes
         peak, _ = _traced(lambda: imaging.image_graph(imgs, edge_fraction=0.05))
@@ -482,6 +489,7 @@ class TestImageGraph:
         # than the default budget from n = 727 on and more than twice this
         # budget at these n: the tiles must split the columns as well
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         imgs = imaging.project(phantom, haar(45, n), L=5)
         coeffs = imaging._coefficients(imgs, imaging.image_basis(imgs))[0].nbytes
 
@@ -491,6 +499,46 @@ class TestImageGraph:
 
         peak, (flat, shift) = _traced(align)
         assert peak - coeffs - flat.nbytes - shift.nbytes < 2 * graphs.WORK_BYTES
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_parent_memory_with_workers(self, phantom, monkeypatch, cpus):
+        # The parent keeps the triangle vectors and, by fork_map's bound of
+        # cpus + 1 tasks out at a time, at most cpus + 1 row blocks'
+        # results: cpus waiting and one being copied; plus one message in
+        # receipt, about one block.  So cpus + 3 blocks leaves most of a
+        # block to spare; this measured 2.3 to 3.1 blocks.  Gathering the
+        # blocks before copying them would add all 77.
+        monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        n = 1000
+        imgs = imaging.project(phantom, haar(46, n), L=5)
+        coeffs, energies = imaging._coefficients(imgs, imaging.image_basis(imgs))
+        side = math.isqrt(graphs.WORK_BYTES // imaging._PAIR_BYTES)
+        blocks = list(graphs.row_blocks(n - 1, side * imaging._PAIR_BYTES))
+        assert len(blocks) == 77
+        # a block's pairs, 10 bytes each: a float64 distance, an int16 shift
+        start = imaging._triangle_start
+        block_bytes = 10 * max(start(hi, n) - start(lo, n) for lo, hi in blocks)
+        peak, (flat, shift) = _traced(lambda: imaging._align_pairs(coeffs, energies))
+        assert peak - flat.nbytes - shift.nbytes < (cpus + 3) * block_bytes
+        assert multiprocessing.active_children() == []
+
+    def test_same_bytes_on_any_worker_count(self, noisy, monkeypatch):
+        # 6-row alignment blocks make 13 tasks and 2-image chunks 40, so
+        # each worker count shares them out differently
+        imgs = noisy[0]
+        monkeypatch.setattr(graphs, "WORK_BYTES", 36 * imaging._PAIR_BYTES)
+        assert len(imaging._spectra_chunks(imgs)) == 40
+        side = math.isqrt(graphs.WORK_BYTES // imaging._PAIR_BYTES)
+        assert len(list(graphs.row_blocks(len(imgs) - 1, side * imaging._PAIR_BYTES))) == 13
+        got = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+            coeffs, energies = imaging._coefficients(imgs, noisy[1])
+            g, _ = imaging.image_graph(imgs, edge_fraction=0.1)
+            got[cpus] = [a.tobytes() for a in (coeffs, energies, g.edge_i, g.edge_j, g.theta)]
+        assert got[1] == got[2] == got[3]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
     def test_rejects_edge_fraction_outside_unit_interval(self, setup, frac):
