@@ -20,6 +20,7 @@ import numpy as np
 
 from . import graphs, imaging, pipeline, spectral, wigner as wig
 from .csvio import read_header, read_rows, write_csv
+from .eigensolver import EigensolverError
 from .so3 import FrameSet, sample_uniform
 
 _INT_FIELDS = ("seed", "n_frames", "k_max", "knn_k", "image_size")
@@ -236,13 +237,15 @@ def _run_pipeline(
     frames: FrameSet, graph, cfg: ExperimentConfig, out: Path, image_metrics=None
 ):
     """Embed, take nearest neighbours, and write every artifact under out;
-    prints one summary line per method.  `image_metrics`, when given, is a
-    dict of entries for metrics.json, such as `edge_match`, which is
-    printed too."""
+    prints one summary line per method.  Each frequency's spectrum_k and
+    scatter_k files are written by embed_all's `then`, in the process that
+    solved that frequency, while the other solves run.  `image_metrics`,
+    when given, is a dict of entries for metrics.json, such as
+    `edge_match`, which is printed too."""
     config = cfg.hash()
-    blocks = pipeline.embed_all(graph, cfg.k_max)
-    for block in blocks:
-        k, values = block.k, block.eigenvalues
+
+    def write_frequency(k: int, block) -> None:
+        values = block.eigenvalues
         write_csv(
             out / f"spectrum_k{k}.csv", "rank,eigenvalue", config,
             "%d,%.17g\n", np.arange(values.size), values,
@@ -255,6 +258,7 @@ def _run_pipeline(
             "%.17g,%.17g\n", pts[:, 0], pts[:, 1],
         )
 
+    blocks = pipeline.embed_all(graph, cfg.k_max, then=write_frequency)
     neighbors, values = pipeline.knn_streamed(blocks, cfg.knn_k)
     angles = {name: pipeline.neighbor_angles(frames, nb) for name, nb in neighbors.items()}
     metrics = {name: pipeline.angle_stats(ang) for name, ang in angles.items()}
@@ -456,7 +460,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,9 +16,12 @@ knn_streamed's runs of row blocks; so do the image path's coefficient
 chunks and alignment row blocks (see imaging).  Processes, not threads,
 because scipy's ARPACK holds the GIL.  With one usable CPU, or where the
 platform cannot fork, the same tasks run in the calling process, and the
-process pool is not imported.  On 2 cores this took embed_all from 0.59 to
-0.48 s and knn_streamed from 0.26 to 0.15 s at N=2000, and from 3.9 to
-2.0 s at N=8000.  Each worker sets its OpenBLAS to one thread, so a program
+process pool is not imported.  On 2 cores processes took knn_streamed from
+0.26 to 0.15 s at N=2000, and from 3.9 to 2.0 s at N=8000.  embed_all's
+`then` runs a caller's per-frequency output (the CLI's spectrum and scatter
+files) in the worker that solved the frequency, while the other solves run:
+on 2 cores that took the CLI's `run` at N=600, graph density 0.1, from 0.57
+to 0.45 s.  Each worker sets its OpenBLAS to one thread, so a program
 that imported numpy before mfca, with BLAS threads in its own process (see
 the package's __init__), does not oversubscribe the cores with them.
 """
@@ -219,16 +222,26 @@ def _run_task(task):
     return task, _job(task)
 
 
-def fork_map(stage: str, fn, tasks: list):
+def _then(fn, then, task):
+    """fn(task), after which then(task, result) runs in the same process."""
+    result = fn(task)
+    then(task, result)
+    return result
+
+
+def fork_map(stage: str, fn, tasks: list, then=None):
     """Yield (task, fn(task)) for every task, as each finishes, on
     min(len(tasks), usable_cpus()) forked worker processes, queued in the
-    order of `tasks`.  The workers inherit fn, and whatever it binds (a
-    functools.partial's arguments), through fork, so only each task and its
-    result are pickled; the pool forks them all before it starts a thread
-    of its own.  At most one task more than there are workers is out at a
-    time: the next is submitted only when the caller asks for another
-    result, so at most that many results wait in this process, however
-    slowly the caller consumes them.
+    order of `tasks`.  `then`, when given, is called as then(task, result)
+    for its side effects (writing the result out, say) in the process that
+    ran the task, right after it.  The workers inherit fn and then, and
+    whatever they bind (a functools.partial's arguments, a closure's
+    cells), through fork, so only each task and its result are pickled;
+    the pool forks them all before it starts a thread of its own.  At most
+    one task more than there are workers is out at a time: the next is
+    submitted only when the caller asks for another result, so at most that
+    many results wait in this process, however slowly the caller consumes
+    them.
 
     The tasks run here, in order, with one worker, where the platform
     cannot fork, or when fn (or the function a partial binds) was wrapped
@@ -236,13 +249,17 @@ def fork_map(stage: str, fn, tasks: list):
     wrapper (a profiler's span, a cache) keeps its records in the process
     that calls it, and a worker's copy would die with the worker.
 
-    The first error, or an interrupt, cancels every task not yet started; it
-    is raised once the running ones have stopped.  A worker that dies (a
-    signal, the OOM killer) raises ChildProcessError naming `stage` and its
-    exit status.  No worker outlives the call, nor an abandoned iteration.
+    The first error, in fn or in then, or an interrupt, cancels every task
+    not yet started; it is raised once the running ones have stopped.  A
+    worker that dies (a signal, the OOM killer) raises ChildProcessError
+    naming `stage` and its exit status.  No worker outlives the call, nor an
+    abandoned iteration.
     """
     workers = min(len(tasks), usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork") or hasattr(getattr(fn, "func", fn), "__wrapped__"):
+    here = workers <= 1 or not hasattr(os, "fork") or hasattr(getattr(fn, "func", fn), "__wrapped__")
+    if then is not None:
+        fn = partial(_then, fn, then)
+    if here:
         for task in tasks:
             yield task, fn(task)
         return
@@ -287,15 +304,18 @@ def _death(workers: list) -> str:
     return f"a worker process ended with exit status {code}"
 
 
-def embed_all(graph: ObservationGraph, k_max: int) -> list:
+def embed_all(graph: ObservationGraph, k_max: int, then=None) -> list:
     """[embed(graph, k) for k = 1..k_max] on one shared csr_pattern, by
     fork_map, queued k_max first so the longest solve starts first.  Worker
-    processes, not threads: scipy's ARPACK holds the GIL.  Every solve is
-    independent and BLAS runs one thread (see the package's __init__), so
-    the blocks are the same bits on any number of workers."""
+    processes, not threads: scipy's ARPACK holds the GIL.  `then`, when
+    given, is fork_map's: then(k, block) runs in the process that solved k,
+    right after the solve, so a caller's per-frequency output overlaps the
+    other solves.  Every solve is independent and BLAS runs one thread (see
+    the package's __init__), so the blocks are the same bits on any number
+    of workers."""
     pattern = csr_pattern(graph)
     ks = list(range(k_max, 0, -1))
-    got = dict(fork_map("embed", partial(embed, graph, pattern=pattern), ks))
+    got = dict(fork_map("embed", partial(embed, graph, pattern=pattern), ks, then))
     return [got[k] for k in range(1, k_max + 1)]
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 
 import mfca
 from image_oracle import load_images
-from mfca import cli, csvio, graphs, imaging, pipeline, so3, spectral, wigner
+from mfca import cli, csvio, eigensolver, graphs, imaging, pipeline, so3, spectral, wigner
 
 
 def write_config(tmp_path, **kwargs):
@@ -489,6 +490,54 @@ class TestRun:
             assert lines[0] == "affinity,target"
             assert lines[2:] == [f"{a:.17g},{t:.17g}" for a, t in pts]
 
+    def test_outputs_do_not_depend_on_worker_count(self, sim_dir, tmp_path, monkeypatch):
+        # 8-row K-NN blocks, so the 200 rows make three runs and the K-NN
+        # forks too; one CPU runs every task in this process
+        tmp, cfg, sim = sim_dir
+        monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * 200)
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+            argv += ["--graph", str(sim / "graph_p1.csv"), "--out", str(out)]
+            assert cli.main(argv) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        names = {f"{kind}_k{k}.csv" for kind in ("spectrum", "scatter") for k in range(1, 11)}
+        assert set(outputs[0]) == names | {"neighbors.csv", "metrics.json"}
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert multiprocessing.active_children() == []
+
+    def test_wrapped_embed_writes_every_frequency_here(self, sim_dir, tmp_path, monkeypatch):
+        # a profiler's functools.wraps span on embed keeps the solves in
+        # this process, and the frequency files are written with them
+        tmp, cfg, sim = sim_dir
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        calls, forks = [], []
+        real_embed, real_fork = pipeline.embed, os.fork
+
+        @functools.wraps(real_embed)
+        def embed(graph, k, pattern=None):
+            calls.append(k)
+            return real_embed(graph, k, pattern)
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(pipeline, "embed", embed)
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / "o"
+        argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+        argv += ["--graph", str(sim / "graph_p1.csv"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert calls == list(range(10, 0, -1))
+        assert forks == []
+        for k in range(1, 11):
+            for kind in ("spectrum", "scatter"):
+                assert (out / f"{kind}_k{k}.csv").stat().st_size > 0
+
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_every_csv_matches_per_value_format(self, tmp_path, monkeypatch, delta):
         # each writer's rows number CHUNK - 1, CHUNK or CHUNK + 1
@@ -788,6 +837,8 @@ class TestFramesInput:
     "stage, how, cause",
     [
         ("embed", "exit", "a worker process ended with exit status 3"),
+        # the worker dies writing its frequency's files, after the solve
+        ("embed", "write", "a worker process ended with exit status 3"),
         ("knn", "kill", "a worker process was killed by SIGKILL"),
         ("coefficients", "kill", "a worker process was killed by SIGKILL"),
         ("align", "exit", "a worker process ended with exit status 3"),
@@ -799,14 +850,16 @@ def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, sta
 
     def die(*args, **kwargs):
         assert os.getpid() != parent, "the stage ran in the test process"
-        if how == "exit":
-            os._exit(3)
-        os.kill(os.getpid(), signal.SIGKILL)
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(3)
 
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
     argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
     argv += ["--graph", str(sim / "graph_p1.csv")]
-    if stage == "embed":
+    if how == "write":
+        monkeypatch.setattr(pipeline, "scatter_data", die)
+    elif stage == "embed":
         monkeypatch.setattr(pipeline, "embed", die)
     elif stage == "knn":
         # 8-row blocks, so the 200 rows make three runs
@@ -825,6 +878,40 @@ def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, sta
     code = cli.main(argv + ["--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {stage}: {cause}\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_eigensolver_error_is_one_line(sim_dir, tmp_path, monkeypatch, capsys, cpus):
+    # on two CPUs the error is raised in a worker and pickled back
+    tmp, cfg, sim = sim_dir
+
+    def fail(h, m):
+        raise eigensolver.EigensolverError("iterative solver failed: no convergence")
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "top_eigenpairs", fail)
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+    argv += ["--graph", str(sim / "graph_p1.csv"), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: iterative solver failed: no convergence\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unwritable_frequency_file_is_one_line(sim_dir, tmp_path, monkeypatch, capsys, cpus):
+    # a directory where scatter_k1.csv goes fails the open that writes it,
+    # in the worker that solved k = 1 on two CPUs
+    tmp, cfg, sim = sim_dir
+    out = tmp_path / "o"
+    (out / "scatter_k1.csv").mkdir(parents=True)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+    argv += ["--graph", str(sim / "graph_p1.csv"), "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(out / "scatter_k1.csv")) in err
     assert multiprocessing.active_children() == []
 
 

@@ -265,6 +265,20 @@ class TestEmbedAll:
             pipeline.embed_all(clean, 3)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_then_runs_where_each_frequency_was_solved(self, clean, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+
+        def then(k, block):
+            (tmp_path / f"k{k}").write_text(f"{block.k} {os.getpid()}")
+
+        assert [b.k for b in pipeline.embed_all(clean, 3, then=then)] == [1, 2, 3]
+        for k in (1, 2, 3):
+            got, pid = map(int, (tmp_path / f"k{k}").read_text().split())
+            assert got == k
+            assert (pid == os.getpid()) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+
     def test_longest_solve_starts_first(self, clean, monkeypatch):
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         entered = []
