@@ -1,12 +1,17 @@
 """Test-only image routines: the full-band alignment kernel that
 imaging.image_graph ran before it aligned in a compressed basis, the
 pairwise rid_distance built on it, the elementwise all-pairs loop that
-preceded that kernel, the reader of imaging.save_images' files, and the
-3D density of an imaging.Phantom, whose line integrals imaging.project
-computes in closed form.
+preceded that kernel, the frequency-first alignment tile and the
+fancy-index polar gather that imaging._align_tile and
+imaging.polar_resample replaced, the reader of imaging.save_images' files,
+and the 3D density of an imaging.Phantom, whose line integrals
+imaging.project computes in closed form.
 
 The full-band distances keep every angular frequency at every radius, so
-they are the exact reference for the compressed path at full rank.
+they are the exact reference for the compressed path at full rank.  The
+frequency-first tile and the fancy-index gather do the same arithmetic as
+their replacements in another memory layout, so they are references for
+the bytes.
 """
 
 import struct
@@ -59,6 +64,46 @@ def align_rows(
     shifts = np.argmax(cross, axis=0)
     best = np.take_along_axis(cross, shifts[None], axis=0)[0]
     d2 = np.maximum(weights[lo:hi, None] + weights[None, lo + 1 :] - 2.0 * best, 0.0)
+    return np.sqrt(d2), shifts
+
+
+def fancy_index_polar(images) -> np.ndarray:
+    """imaging.polar_resample's samples from one fancy-index gather per
+    corner, a new array each: (pixel * wa) * wb summed over the four
+    corners from 0.0."""
+    images = imaging._stack(images)
+    n, L = images.shape[:2]
+    radii, flat, corners = imaging._polar_grid(L)
+    pixels = images.reshape(n, L * L)
+    polar = np.zeros((n, len(radii), N_THETA))
+    for offset, wa, wb in corners:
+        corner = pixels[:, flat + offset]
+        corner *= wa
+        corner *= wb
+        polar += corner
+    return polar
+
+
+def frequency_first_tile(
+    coeffs: np.ndarray, energies: np.ndarray, rows: slice, cols: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """imaging._align_tile with the frequencies on the first axis: the real
+    GEMM's output goes into N_M rows of zeros, and the inverse FFT, the
+    argmax and the best correlation's lookup all run along axis 0."""
+    n_m, width = coeffs.shape[0], coeffs.shape[1] // 2
+    block = coeffs[:, :, cols]
+    right = np.empty(block.shape + (2,))
+    right[..., 0] = block
+    right[:, :width, :, 1] = block[:, width:]
+    np.negative(block[:, :width], out=right[:, width:, :, 1])
+    right = right.reshape(n_m, 2 * width, 2 * block.shape[2])
+    left = coeffs[:, :, rows].transpose(0, 2, 1)
+    cross = np.zeros((imaging.N_M, left.shape[1], right.shape[2]))
+    np.matmul(left, right, out=cross[:n_m])
+    cross = np.fft.irfft(cross.view(complex), n=N_THETA, axis=0)
+    shifts = np.argmax(cross, axis=0)
+    best = np.take_along_axis(cross, shifts[None], axis=0)[0]
+    d2 = np.maximum(energies[rows, None] + energies[None, cols] - 2.0 * best, 0.0)
     return np.sqrt(d2), shifts
 
 

@@ -226,6 +226,18 @@ class TestPolarResample:
         assert not np.any(np.signbit(polar))
 
     @pytest.mark.parametrize("L", [3, 33, 65])
+    def test_matches_fancy_index_gather(self, phantom, L):
+        # one corner buffer, reused, must give the bytes of a new gathered
+        # array per corner; -0.0 pixels sample as +0.0 in both
+        clean = imaging.project(phantom, haar(32, 6), L=L)
+        imgs = np.array([imaging.add_noise(img, 4.0, s) for s, img in enumerate(clean)])
+        imgs[0, : L // 2] = -0.0
+        imgs[-1] = -0.0
+        polar, _ = imaging.polar_resample(imgs)
+        assert polar.tobytes() == image_oracle.fancy_index_polar(imgs).tobytes()
+        assert not np.any(np.signbit(polar[-1]))
+
+    @pytest.mark.parametrize("L", [3, 33, 65])
     def test_spectra_chunks_match_per_image_reference(self, phantom, monkeypatch, L):
         # chunks of 3 images over 7 leave one image, folded into the last
         # chunk, since row_blocks never makes a one-row block
@@ -311,6 +323,24 @@ def _per_row_alignment(coeffs, energies):
     return np.concatenate(dist), np.concatenate(shift)
 
 
+class TestAlignTile:
+    @pytest.mark.parametrize("n_cols", [7, 8])
+    @pytest.mark.parametrize("n_m", [1, 13, 61, imaging.N_M])
+    def test_matches_frequency_first_tile(self, n_m, n_cols):
+        # the frequency-last layout runs the same GEMM, inverse FFT and
+        # argmax on each pair: a numpy whose FFT rounds differently by
+        # memory layout fails here
+        rng = np.random.default_rng(n_m + n_cols)
+        coeffs = rng.standard_normal((n_m, 6, 20))
+        energies = np.sum(coeffs**2, axis=(0, 1)) * 2.0 / imaging.N_THETA
+        rows, cols = slice(2, 7), slice(9, 9 + n_cols)
+        dist, shifts = imaging._align_tile(coeffs, energies, rows, cols)
+        ref_dist, ref_shifts = image_oracle.frequency_first_tile(coeffs, energies, rows, cols)
+        assert np.all(dist > 0)
+        assert dist.tobytes() == ref_dist.tobytes()
+        assert shifts.tobytes() == ref_shifts.tobytes()
+
+
 def _graph_from_pairs(flat, shift, n, edge_fraction):
     """image_graph's quantile rule over row-major pair distances."""
     kept = np.flatnonzero(flat <= np.quantile(flat, edge_fraction))
@@ -389,6 +419,26 @@ class TestImageBasis:
             assert corr[shift[p]] == pytest.approx(corr[ref_shift[i, j]], rel=1e-10)
 
 
+class TestCoefficients:
+    @pytest.mark.parametrize("snr, m_max", [(4.0, 9), (None, imaging.N_M - 1)])
+    def test_band_limited_chunks_match_full_band(self, phantom, snr, m_max):
+        # pass 2 conjugates, scales and copies only the frequencies up to
+        # m_max, which must leave the bytes of the full-band spectra's rows
+        imgs = imaging.project(phantom, haar(47, 60), L=65)
+        if snr is not None:
+            imgs = np.array([imaging.add_noise(img, snr, s) for s, img in enumerate(imgs)])
+        basis = imaging.image_basis(imgs)
+        assert len(basis.ranks) == m_max + 1
+        basis_h = np.zeros((m_max + 1, max(basis.ranks), imgs.shape[1] // 2), dtype=complex)
+        for m, u in enumerate(basis.vectors):
+            basis_h[m, : u.shape[1]] = np.conj(u).T
+        chunks = imaging._spectra_chunks(imgs)
+        for chunk, (_, _, z) in zip(chunks, imaging._angular_spectra(imgs, chunks)):
+            assert z.shape[0] == imaging.N_M
+            got = imaging._chunk_coefficients(imgs, basis_h, chunk)
+            assert got.tobytes() == (basis_h @ z[: m_max + 1]).tobytes()
+
+
 class TestImageGraph:
     def test_edge_fraction_calibration(self, setup):
         _, imgs = setup
@@ -431,8 +481,7 @@ class TestImageGraph:
         # block, in blocks of 6 a one-row block that is folded in, and the
         # columns of each block run in tiles with a short last one folded
         _, _, coeffs, energies = noisy
-        pair_bytes = 16 * imaging.N_M + 8 * imaging.N_THETA + 64
-        monkeypatch.setattr(graphs, "WORK_BYTES", side * side * pair_bytes)
+        monkeypatch.setattr(graphs, "WORK_BYTES", side * side * imaging._PAIR_BYTES)
         flat, shift = imaging._align_pairs(coeffs, energies)
         ref_flat, ref_shift = _per_row_alignment(coeffs, energies)
         assert np.array_equal(flat, ref_flat)
@@ -485,8 +534,8 @@ class TestImageGraph:
 
     @pytest.mark.parametrize("n", [800, 1000])
     def test_memory_is_column_tiled(self, phantom, monkeypatch, n):
-        # one row of pairs alone takes n x 5,776 bytes of temporaries, more
-        # than the default budget from n = 727 on and more than twice this
+        # one row of pairs alone takes n x 5,792 bytes of temporaries, more
+        # than the default budget from n = 725 on and more than twice this
         # budget at these n: the tiles must split the columns as well
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**20)
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
