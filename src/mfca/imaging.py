@@ -7,13 +7,13 @@ graph from images alone.
 
 The image graph's two per-image passes after the basis run on
 pipeline.fork_map's forked workers, each task writing its own disjoint
-slice: _coefficients' chunks of images (stage "coefficients") and
-_align_pairs' row blocks of pairs (stage "align").  The basis's own pass
-over the images stays in the calling process (see image_basis), and so do
-projection and noise: their results, a chunk of images each, raised the
-calling process's peak memory when they came from workers.  On 2 cores
-this took image_graph at N=2000 from 5.3 to 3.1 s at SNR 16 and from 4.3
-to 2.5 s at SNR 4.
+slice, in place, of an output made by pipeline.shared_empty: _coefficients'
+chunks of images (stage "coefficients") and _align_pairs' row blocks of
+pairs (stage "align").  The basis's own pass over the images stays in the
+calling process (see image_basis), and so do projection and noise: their
+results, a chunk of images each, raised the calling process's peak memory
+when they came from workers.  On 2 cores this took image_graph at N=2000
+from 5.3 to 3.1 s at SNR 16 and from 4.3 to 2.5 s at SNR 4.
 
 The kernels do only the work their bytes need: polar_resample takes each
 corner into one reused buffer, the coefficient pass conjugates, scales and
@@ -43,7 +43,7 @@ import scipy.sparse as sp
 
 from . import graphs
 from .graphs import ObservationGraph, row_blocks, upper_pairs
-from .pipeline import fork_map
+from .pipeline import fork_map, shared_empty
 
 SUPPORT_RADIUS = 0.8
 DEFAULT_L = 65
@@ -397,11 +397,15 @@ def image_basis(images) -> ImageBasis:
     return ImageBasis(sigma=float(np.sqrt(sigma2)), vectors=tuple(vectors[: m_max + 1]))
 
 
-def _chunk_coefficients(images, basis_h: np.ndarray, chunk: tuple) -> np.ndarray:
-    """basis_h @ z for the images of one chunk of _angular_spectra: their
-    complex coefficients, shape (m_max + 1, r, hi - lo)."""
+def _chunk_coefficients(images, basis_h: np.ndarray, coeffs: np.ndarray, chunk: tuple) -> None:
+    """Write basis_h @ z for the images lo:hi of one chunk of
+    _angular_spectra, their complex coefficients, into columns lo:hi of
+    _coefficients' `coeffs`: real parts over imaginary parts."""
+    lo, hi = chunk
     [(_, _, z)] = _angular_spectra(images, [chunk], len(basis_h))
-    return basis_h @ z
+    c = basis_h @ z
+    coeffs[:, : c.shape[1], lo:hi] = c.real
+    coeffs[:, c.shape[1] :, lo:hi] = c.imag
 
 
 def _coefficients(images, basis: ImageBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -413,20 +417,17 @@ def _coefficients(images, basis: ImageBasis) -> tuple[np.ndarray, np.ndarray]:
     twice).
 
     The chunks of images go to fork_map's workers, forked after the stack
-    exists, so no image is copied; each chunk's coefficients are written
-    into its own columns as they arrive, so the bytes are the same on any
+    exists, so no image is copied; coeffs comes from shared_empty, and each
+    chunk writes its own columns in place, so the bytes are the same on any
     number of workers."""
     ranks = basis.ranks
     n_r, width = images.shape[1] // 2, max(ranks)
     basis_h = np.zeros((len(ranks), width, n_r), dtype=complex)
     for m, u in enumerate(basis.vectors):
         basis_h[m, : u.shape[1]] = np.conj(u).T
-    coeffs = np.empty((len(ranks), 2 * width, len(images)))
-    task = partial(_chunk_coefficients, images, basis_h)
-    for (lo, hi), c in fork_map("coefficients", task, _spectra_chunks(images)):
-        coeffs[:, :width, lo:hi] = c.real
-        coeffs[:, width:, lo:hi] = c.imag
-        del c  # fork_map's bound counts no chunk held here
+    coeffs = shared_empty((len(ranks), 2 * width, len(images)), float)
+    task = partial(_chunk_coefficients, images, basis_h, coeffs)
+    fork_map("coefficients", task, _spectra_chunks(images))
     twice = np.full(len(ranks), 2.0)
     twice[0] = 1.0
     if len(ranks) == N_M:
@@ -482,16 +483,14 @@ def _triangle_start(row, n):
     return row * (2 * n - row - 1) // 2
 
 
-def _align_rows(coeffs: np.ndarray, energies: np.ndarray, block: tuple) -> tuple:
-    """Distances and best shifts of every pair i < j with i in the rows
-    lo:hi of `block`: one contiguous stretch of the row-major triangle,
-    from _triangle_start(lo) to _triangle_start(hi), aligned in tiles of
-    these rows by column tiles, each within graphs.WORK_BYTES at any n."""
+def _align_rows(coeffs: np.ndarray, energies: np.ndarray, flat, flat_shift, block: tuple) -> None:
+    """Write the distances and best shifts of every pair i < j with i in
+    the rows lo:hi of `block` into their stretch of the row-major triangle
+    vectors `flat` and `flat_shift`, from _triangle_start(lo) to
+    _triangle_start(hi), aligned in tiles of these rows by column tiles,
+    each within graphs.WORK_BYTES at any n."""
     lo, hi = block
     n = coeffs.shape[2]
-    start = _triangle_start(lo, n)
-    dist = np.empty(_triangle_start(hi, n) - start)
-    shift = np.empty(dist.size, dtype=np.int16)
     # columns lo + 1.. hold every pair of these rows, at least hi - lo of
     # them; per column: its two right-hand columns
     tile_column = (hi - lo) * _PAIR_BYTES + 16 * coeffs.shape[0] * coeffs.shape[1]
@@ -501,10 +500,9 @@ def _align_rows(coeffs: np.ndarray, energies: np.ndarray, block: tuple) -> tuple
         i = np.arange(lo, hi)[:, None]
         j = np.arange(c0, c1)
         pairs = j > i
-        at = (_triangle_start(i, n) + j - i - 1)[pairs] - start
-        dist[at] = d[pairs]
-        shift[at] = s[pairs]
-    return dist, shift
+        at = (_triangle_start(i, n) + j - i - 1)[pairs]
+        flat[at] = d[pairs]
+        flat_shift[at] = s[pairs]
 
 
 def _align_pairs(coeffs: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,20 +511,17 @@ def _align_pairs(coeffs: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, 
 
     The rows go in blocks, about as many as the side of a square tile
     within graphs.WORK_BYTES, to fork_map's workers, forked after the
-    coefficients exist, so only each block's stretch of the triangle
-    travels.  A pair is aligned in the same tile on any number of workers,
+    coefficients exist, so nothing travels but the blocks' bounds: both
+    vectors come from shared_empty, and each block writes its own stretch
+    in place.  A pair is aligned in the same tile on any number of workers,
     so the bytes are the same.
     """
     n = coeffs.shape[2]
     side = max(2, math.isqrt(graphs.WORK_BYTES // _PAIR_BYTES))
-    flat = np.empty(n * (n - 1) // 2)
-    flat_shift = np.empty(flat.size, dtype=np.int16)
-    blocks = list(row_blocks(n - 1, side * _PAIR_BYTES))
-    for (lo, _), (d, s) in fork_map("align", partial(_align_rows, coeffs, energies), blocks):
-        start = _triangle_start(lo, n)
-        flat[start : start + d.size] = d
-        flat_shift[start : start + d.size] = s
-        del d, s  # fork_map's bound counts no block held here
+    flat = shared_empty((n * (n - 1) // 2,), float)
+    flat_shift = shared_empty(flat.shape, np.int16)
+    task = partial(_align_rows, coeffs, energies, flat, flat_shift)
+    fork_map("align", task, list(row_blocks(n - 1, side * _PAIR_BYTES)))
     return flat, flat_shift
 
 

@@ -12,33 +12,36 @@ of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
 
 Both stages run on fork_map's forked worker processes, one a usable CPU:
 embed_all's solves, every H^(k) on the graph's one CSR pattern, and
-knn_streamed's runs of row blocks; so do the image path's coefficient
-chunks and alignment row blocks (see imaging).  Processes, not threads,
-because scipy's ARPACK holds the GIL.  With one usable CPU, or where the
-platform cannot fork, the same tasks run in the calling process, and the
-process pool is not imported.  On 2 cores processes took knn_streamed from
-0.26 to 0.15 s at N=2000, and from 3.9 to 2.0 s at N=8000.  embed_all's
-`then` runs a caller's per-frequency output (the CLI's spectrum and scatter
-files) in the worker that solved the frequency, while the other solves run:
-on 2 cores that took the CLI's `run` at N=600, graph density 0.1, from 0.57
-to 0.45 s.  Each worker sets its OpenBLAS to one thread, so a program
-that imported numpy before mfca, with BLAS threads in its own process (see
-the package's __init__), does not oversubscribe the cores with them.
+knn_streamed's row blocks; so do the image path's coefficient chunks and
+alignment row blocks (see imaging).  Processes, not threads, because
+scipy's ARPACK holds the GIL.  With one usable CPU, or where the platform
+cannot fork, the same tasks run in the calling process, and the process
+pool is not imported.  On 2 cores processes took knn_streamed from 0.26 to
+0.15 s at N=2000, and from 3.9 to 2.0 s at N=8000.  The array stages'
+outputs come from shared_empty, made before the workers fork, so each task
+writes its own slice in place and returns nothing; only embed_all's
+blocks travel back pickled.  embed_all's `then` runs a caller's
+per-frequency output (the CLI's spectrum and scatter files) in the worker
+that solved the frequency, while the other solves run: on 2 cores that
+took the CLI's `run` at N=600, graph density 0.1, from 0.57 to 0.45 s.
+Each worker sets its OpenBLAS to one thread, so a program that imported
+numpy before mfca, with BLAS threads in its own process (see the
+package's __init__), does not oversubscribe the cores with them.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
+import mmap
 import os
 import signal
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import graphs
 from .eigensolver import HermitianMatrix, top_eigenpairs
 from .graphs import ObservationGraph, degrees, row_blocks, upper_pairs
 from .so3 import FrameSet
@@ -219,7 +222,7 @@ def _adopt(fn, parent: int) -> None:
 
 
 def _run_task(task):
-    return task, _job(task)
+    return _job(task)
 
 
 def _then(fn, then, task):
@@ -229,19 +232,29 @@ def _then(fn, then, task):
     return result
 
 
-def fork_map(stage: str, fn, tasks: list, then=None):
-    """Yield (task, fn(task)) for every task, as each finishes, on
-    min(len(tasks), usable_cpus()) forked worker processes, queued in the
-    order of `tasks`.  `then`, when given, is called as then(task, result)
-    for its side effects (writing the result out, say) in the process that
-    ran the task, right after it.  The workers inherit fn and then, and
-    whatever they bind (a functools.partial's arguments, a closure's
-    cells), through fork, so only each task and its result are pickled;
-    the pool forks them all before it starts a thread of its own.  At most
-    one task more than there are workers is out at a time: the next is
-    submitted only when the caller asks for another result, so at most that
-    many results wait in this process, however slowly the caller consumes
-    them.
+def shared_empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array of `shape` and `dtype` in anonymous shared
+    memory (mmap's default MAP_SHARED), so the fork_map workers forked after
+    it write into the pages this process reads: a task can fill its own
+    slice of a stage's output in place, and nothing travels back.  The map
+    is released with the last array that views it.  At least one byte is
+    mapped, since mmap refuses an empty map."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, size * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, count=size).reshape(shape)
+
+
+def fork_map(stage: str, fn, tasks: list, then=None) -> list:
+    """[fn(task) for task in tasks], in the order of `tasks`, on
+    min(len(tasks), usable_cpus()) forked worker processes, queued in that
+    order.  `then`, when given, is called as then(task, result) for its
+    side effects (writing the result out, say) in the process that ran the
+    task, right after it.  The workers inherit fn and then, and whatever
+    they bind (a functools.partial's arguments, a closure's cells, the
+    arrays of shared_empty that a task writes into), through fork, so only
+    each task and its result are pickled; the pool forks them all before it
+    starts a thread of its own.
 
     The tasks run here, in order, with one worker, where the platform
     cannot fork, or when fn (or the function a partial binds) was wrapped
@@ -252,35 +265,30 @@ def fork_map(stage: str, fn, tasks: list, then=None):
     The first error, in fn or in then, or an interrupt, cancels every task
     not yet started; it is raised once the running ones have stopped.  A
     worker that dies (a signal, the OOM killer) raises ChildProcessError
-    naming `stage` and its exit status.  No worker outlives the call, nor an
-    abandoned iteration.
+    naming `stage` and its exit status.  No worker outlives the call.
     """
     workers = min(len(tasks), usable_cpus())
     here = workers <= 1 or not hasattr(os, "fork") or hasattr(getattr(fn, "func", fn), "__wrapped__")
     if then is not None:
         fn = partial(_then, fn, then)
     if here:
-        for task in tasks:
-            yield task, fn(task)
-        return
+        return [fn(task) for task in tasks]
     # imported here, so that `import mfca` does not pay for the process pool
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt, initargs=(fn, os.getpid()),
     )
-    queue = iter(tasks)
     try:
-        out = {pool.submit(_run_task, task) for task in islice(queue, workers + 1)}
-        while out:
-            done, out = wait(out, return_when=FIRST_COMPLETED)
-            while done:
-                # no reference to a yielded result stays here
-                yield done.pop().result()
-                out |= {pool.submit(_run_task, task) for task in islice(queue, 1)}
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            if future.done() and future.exception() is not None:
+                raise future.exception()
+        return [future.result() for future in futures]
     except BrokenProcessPool as exc:
         # the pool's own map of its workers: one that has died is missing
         # from active_children(), and shutdown drops the map
@@ -315,19 +323,18 @@ def embed_all(graph: ObservationGraph, k_max: int, then=None) -> list:
     of workers."""
     pattern = csr_pattern(graph)
     ks = list(range(k_max, 0, -1))
-    got = dict(fork_map("embed", partial(embed, graph, pattern=pattern), ks, then))
-    return [got[k] for k in range(1, k_max + 1)]
+    return fork_map("embed", partial(embed, graph, pattern=pattern), ks, then)[::-1]
 
 
 def _affinity_rows(block: FrequencyBlock, lo: int, hi: int) -> np.ndarray:
     """Rows lo:hi of A^(k) from the block's unit embedding rows:
-    |<Psi(i), Psi(j)>| clipped to [0, 1], with diagonal 1 (0 at isolated
-    vertices, whose rows are zero).  Only the row block is conjugated."""
+    |<Psi(i), Psi(j)>| clipped to [0, 1], so about 1 on the diagonal and 0
+    in the rows and columns of isolated vertices, whose rows are zero.  Only
+    the row block is conjugated.  No caller reads the diagonal: _top_k
+    leaves it out, and A^All's values are read at neighbors alone."""
     emb = block.embedding
     a = np.abs(emb[lo:hi].conj() @ emb.T)
     np.clip(a, 0.0, 1.0, out=a)
-    r = np.arange(lo, hi)
-    a[r - lo, r] = np.where(block.isolated[lo:hi], 0.0, 1.0)
     return a
 
 
@@ -355,49 +362,32 @@ def _top_k(a: np.ndarray, lo: int, K: int, isolated: np.ndarray) -> np.ndarray:
     return cand_col[order[first[:, None] + np.arange(K)]]
 
 
-def _knn_runs(n: int, K: int, lists: int) -> list:
-    """knn_streamed's row blocks, in consecutive runs: as many blocks a run
-    as keep its outputs, `lists` neighbor lists and the values, within a
-    quarter of graphs.WORK_BYTES.  fork_map keeps at most workers + 1 runs
-    out, so the parent holds at most that many runs' results, and the one
-    message it is receiving, beside the outputs.  No block is split, so
-    every row rounds alike however the runs are shared among workers."""
-    blocks = list(row_blocks(n, _KNN_ENTRY_BYTES * n))
-    run_bytes = (blocks[0][1] - blocks[0][0]) * K * 8 * (lists + 1)
-    per_run = max(1, graphs.WORK_BYTES // (4 * run_bytes))
-    return [blocks[i : i + per_run] for i in range(0, len(blocks), per_run)]
-
-
-def _knn_rows(blocks: list, K: int, names: dict, run: list) -> tuple:
-    """knn_streamed's outputs for the rows of `run`, a list of consecutive
-    row blocks, each multiplied up in the order of `blocks`."""
-    start, stop = run[0][0], run[-1][1]
+def _knn_rows(blocks: list, names: dict, neighbors: dict, values: np.ndarray, rows: tuple) -> None:
+    """Write knn_streamed's outputs for the row block `rows` = (lo, hi)
+    into rows lo:hi of `neighbors` and `values`, the row block of A^All
+    multiplied up in the order of `blocks`."""
+    lo, hi = rows
+    K = values.shape[1]
     iso = blocks[0].isolated
-    lists = {name: np.empty((stop - start, K), dtype=np.int64) for name in names.values()}
-    lists["A^All"] = nb_all = np.empty((stop - start, K), dtype=np.int64)
-    values = np.empty((stop - start, K))
-    for lo, hi in run:
-        rows = slice(lo - start, hi - start)
-        prod = None
-        for b in blocks:
-            a = _affinity_rows(b, lo, hi)
-            if b.k in names:
-                lists[names[b.k]][rows] = _top_k(a, lo, K, iso)
-            if prod is None:
-                prod = a
-            else:
-                prod *= a
-        nb_all[rows] = _top_k(prod, lo, K, iso)
-        values[rows] = np.take_along_axis(prod, nb_all[rows], axis=1)
-    return lists, values
+    prod = None
+    for b in blocks:
+        a = _affinity_rows(b, lo, hi)
+        if b.k in names:
+            neighbors[names[b.k]][lo:hi] = _top_k(a, lo, K, iso)
+        if prod is None:
+            prod = a
+        else:
+            prod *= a
+    neighbors["A^All"][lo:hi] = nb_all = _top_k(prod, lo, K, iso)
+    values[lo:hi] = np.take_along_axis(prod, nb_all, axis=1)
 
 
 def knn_streamed(blocks: list, K: int) -> tuple:
     """K-NN of A^(k) for each k in REPORTED_KS and of A^All = prod_k A^(k),
     in one pass over blocks of rows within graphs.WORK_BYTES, so no n x n
-    matrix is built.  Runs of blocks go to fork_map's workers, forked after
-    the blocks exist, so no embedding is copied; each run's outputs are
-    copied into place as it arrives.
+    matrix is built.  Each row block is one of fork_map's tasks; the outputs
+    come from shared_empty, so the workers, forked after the blocks exist,
+    copy no embedding and write their rows in place.
 
     Each row block of A^All is multiplied up in the order of `blocks`, which
     reproduces np.prod over a stacked array bit for bit.  Returns a dict of
@@ -412,16 +402,11 @@ def knn_streamed(blocks: list, K: int) -> tuple:
         raise ValueError("K must satisfy 1 <= K < n")
     ks = {b.k for b in blocks}
     names = {k: f"A^({k})" for k in REPORTED_KS if k in ks}
-    neighbors = {name: np.empty((n, K), dtype=np.int64) for name in names.values()}
-    neighbors["A^All"] = np.empty((n, K), dtype=np.int64)
-    values = np.empty((n, K))
-    runs = _knn_runs(n, K, len(neighbors))
-    for run, (lists, vals) in fork_map("knn", partial(_knn_rows, blocks, K, names), runs):
-        rows = slice(run[0][0], run[-1][1])
-        for name, nb in lists.items():
-            neighbors[name][rows] = nb
-        values[rows] = vals
-        del lists, vals  # fork_map's bound counts no run held here
+    neighbors = {name: shared_empty((n, K), np.int64) for name in names.values()}
+    neighbors["A^All"] = shared_empty((n, K), np.int64)
+    values = shared_empty((n, K), float)
+    task = partial(_knn_rows, blocks, names, neighbors, values)
+    fork_map("knn", task, list(row_blocks(n, _KNN_ENTRY_BYTES * n)))
     return neighbors, values
 
 

@@ -862,7 +862,7 @@ def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, sta
     elif stage == "embed":
         monkeypatch.setattr(pipeline, "embed", die)
     elif stage == "knn":
-        # 8-row blocks, so the 200 rows make three runs
+        # 8-row blocks, so the 200 rows make 25 tasks
         monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * 200)
         monkeypatch.setattr(pipeline, "_knn_rows", die)
     else:

@@ -338,18 +338,31 @@ class TestForkMap:
         assert calls == [3, 2, 1]
         assert forks == []
 
-    def test_at_most_one_task_more_than_workers_is_out(self, monkeypatch):
-        # a caller that is slow to take the results holds back the queue:
-        # by its i-th result, at most 3 + i of the tasks have started
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
-        started = multiprocessing.get_context("fork").Value("i", 0)
-        seen = []
-        for task, _ in pipeline.fork_map("test", functools.partial(_count, started), list(range(8))):
-            time.sleep(0.2)  # long enough for every submitted task to finish
-            seen.append((task, started.value))
-        assert sorted(task for task, _ in seen) == list(range(8))
-        assert all(s <= min(3 + i, 8) for i, (_, s) in enumerate(seen)), seen
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_shared_empty_takes_each_task_slice(self, monkeypatch, cpus):
+        # each task writes its own rows, in a forked worker on 2 CPUs, and
+        # the calling process reads every one of them back
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        out = pipeline.shared_empty((8, 3), np.int64)
+        assert out.shape == (8, 3) and out.dtype == np.int64
+
+        def write(task):
+            out[2 * task : 2 * task + 2] = [task, os.getpid(), -task]
+
+        assert pipeline.fork_map("test", write, [0, 1, 2, 3]) == [None] * 4
+        assert out[:, 0].tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert out[:, 2].tolist() == [0, 0, -1, -1, -2, -2, -3, -3]
+        assert (out[:, 1] == os.getpid()).all() == (cpus == 1)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "shape, dtype", [((3,), np.int16), ((2, 5, 4), complex), ((0,), float), ((4, 0), np.int64)]
+    )
+    def test_shared_empty_shape_and_dtype(self, shape, dtype):
+        a = pipeline.shared_empty(shape, dtype)
+        assert a.shape == shape and a.dtype == dtype
+        a[...] = 1
+        assert (a == 1).all()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the memory map is Linux's")
     def test_workers_run_one_blas_thread(self):
@@ -366,7 +379,7 @@ class TestForkMap:
             "    return [getattr(lib, s)() for lib in libs for s in names if hasattr(lib, s)]\n"
             "pipeline.usable_cpus = lambda: 2\n"
             "print(max(blas_threads(None)), flush=True)\n"
-            "for _, counts in pipeline.fork_map('test', blas_threads, [0, 1, 2]):\n"
+            "for counts in pipeline.fork_map('test', blas_threads, [0, 1, 2]):\n"
             "    print(*counts, flush=True)\n"
         )
         src = str(Path(mfca.__file__).resolve().parents[1])
@@ -399,16 +412,24 @@ class TestForkMap:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
     def test_workers_die_with_their_parent(self):
-        # task 0 sleeps, so at the first result, of task 1, one worker is
-        # in a task and the other waits on the queue when the parent lists
-        # them and kills itself; nothing else would end either
+        # task 0 notes its pid and sleeps; task 1, in the other worker,
+        # prints both pids and kills the parent, so one worker is in a task
+        # that would run on, and the other would wait on the queue for good
         script = (
-            "import multiprocessing, os, signal, time\n"
+            "import os, signal, time\n"
             "from mfca import pipeline\n"
             "pipeline.usable_cpus = lambda: 2\n"
-            "for _ in pipeline.fork_map('test', lambda t: t or time.sleep(60), [0, 1, 2]):\n"
-            "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
-            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "pids = pipeline.shared_empty((2,), 'i8')\n"
+            "pids[:] = 0\n"
+            "def task(t):\n"
+            "    pids[t] = os.getpid()\n"
+            "    if t == 0:\n"
+            "        time.sleep(60)\n"
+            "    while not pids[0]:\n"
+            "        time.sleep(0.01)\n"
+            "    print(*pids, flush=True)\n"
+            "    os.kill(os.getppid(), signal.SIGKILL)\n"
+            "pipeline.fork_map('test', task, [0, 1])\n"
         )
         src = str(Path(mfca.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -418,7 +439,7 @@ class TestForkMap:
         ) as parent:
             workers = [int(pid) for pid in parent.stdout.readline().split()]
             assert parent.wait(timeout=60) == -signal.SIGKILL
-        assert len(workers) == 2
+        assert len(set(workers)) == 2
         deadline = time.monotonic() + 10
         try:
             while any(map(_running, workers)) and time.monotonic() < deadline:
@@ -427,12 +448,6 @@ class TestForkMap:
         finally:
             for pid in filter(_running, workers):
                 os.kill(pid, signal.SIGKILL)
-
-
-def _count(counter, task):
-    with counter.get_lock():
-        counter.value += 1
-    return task
 
 
 def _running(pid: int) -> bool:
@@ -616,43 +631,43 @@ class TestKnnStreamed:
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_memory_within_the_budget(self, monkeypatch, n):
-        # The pass keeps its outputs, four neighbor lists and the values
-        # (the embeddings predate the trace).  Above them: one block's
-        # temporaries, within WORK_BYTES by _KNN_ENTRY_BYTES, and one run's
-        # results, within a quarter of it by _knn_runs, so 1.25 WORK_BYTES;
-        # 1.5 leaves room for numpy's own scratch.  This measured 1.09 to
-        # 1.13 WORK_BYTES at both sizes.
+        # The outputs, four neighbor lists and the values, are
+        # shared_empty's, which tracemalloc does not see (the embeddings
+        # predate the trace).  So the peak is one block's temporaries,
+        # within WORK_BYTES by _KNN_ENTRY_BYTES; a quarter more leaves room
+        # for numpy's own scratch.  This measured 0.79 to 0.83 WORK_BYTES
+        # at both sizes.
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         blocks = _random_blocks(n, range(1, 11), 13)
-        kept = 5 * n * 50 * 8
         peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, 50))
-        assert peak - kept < 1.5 * graphs.WORK_BYTES
+        assert peak < 1.25 * graphs.WORK_BYTES
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_parent_memory_with_workers(self, monkeypatch, cpus):
-        # The parent keeps the outputs (the embeddings predate the trace)
-        # and, by fork_map's bound of cpus + 1 tasks out at a time, at most
-        # cpus + 1 runs' results: cpus waiting and one being copied; plus
-        # one message in receipt, whose buffer takes up to about 1.1 runs.
-        # So cpus + 3 runs leaves most of a run to spare; this measured 2.3
-        # to 3.1 runs.  Gathering the runs before copying them would add
-        # all 16 runs.
+        # The workers write every row into the outputs, which are
+        # shared_empty's and out of tracemalloc's sight, and return
+        # nothing, so the parent holds no task's result: only the pool's
+        # bookkeeping, a future and a work item for each of the 400 row
+        # blocks, all submitted at once and measured at 2.1 KB a task.  A
+        # block's outputs (10 rows of four lists and the values) are 20 KB.
+        # The process pool is imported first, so the trace sees the map.
+        import concurrent.futures.process  # noqa: F401
+
         monkeypatch.setattr(graphs, "WORK_BYTES", 2**21)
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         n, K = 4000, 50
         blocks = _random_blocks(n, range(1, 11), 13)
-        runs = pipeline._knn_runs(n, K, 4)
-        assert len(runs) == 16
-        run_bytes = max(r[-1][1] - r[0][0] for r in runs) * K * 8 * 5
+        tasks = list(graphs.row_blocks(n, pipeline._KNN_ENTRY_BYTES * n))
+        assert len(tasks) == 400 and max(hi - lo for lo, hi in tasks) == 10
         peak, _ = _traced(lambda: pipeline.knn_streamed(blocks, K))
-        assert peak - 5 * n * K * 8 < (cpus + 3) * run_bytes
+        assert peak < 4096 * len(tasks)
         assert multiprocessing.active_children() == []
 
     def test_same_bytes_on_any_worker_count(self, monkeypatch):
         # 60 rows repeat 12 distinct ones, so every row ties with rows on
-        # both sides of each run boundary and the lower index must win; 4-row
-        # blocks, 2 to a run, give 8 runs
+        # both sides of each block boundary and the lower index must win;
+        # 4-row blocks give 15 tasks
         n, K = 60, 9
         monkeypatch.setattr(graphs, "WORK_BYTES", 4 * pipeline._KNN_ENTRY_BYTES * n)
         blocks = []
@@ -661,7 +676,7 @@ class TestKnnStreamed:
             blocks.append(pipeline.FrequencyBlock(
                 k=b.k, eigenvalues=b.eigenvalues, embedding=emb, isolated=np.zeros(n, bool)
             ))
-        assert len(pipeline._knn_runs(n, K, 4)) == 8
+        assert len(list(graphs.row_blocks(n, pipeline._KNN_ENTRY_BYTES * n))) == 15
         prod = np.prod(np.array([affinity(b) for b in blocks]), axis=0)
         got = {}
         for cpus in (1, 2, 3):
