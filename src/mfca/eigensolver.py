@@ -77,11 +77,10 @@ class EigenPairs:
 # The dense steps below (QR, the m x m products, the eigh of the Ritz matrix
 # and the Gram) run on scipy's BLAS and LAPACK, never numpy's.  numpy and
 # scipy each load their own OpenBLAS.  Threaded, numpy's BLAS threads kept
-# spinning after a matmul and took a core from the next ARPACK solve (the
-# solves for k = 1..10 at N=2000, p=0.1 took 2.75 s with numpy's and 1.41 s
-# with scipy's, 2 cores); importing mfca now pins both to one thread.  The
-# steps stay on scipy's BLAS so that seeded outputs keep their bytes:
-# numpy's OpenBLAS is another build, whose kernels need not round alike.
+# spinning after a matmul and took a core from the next ARPACK solve;
+# importing mfca now pins both to one thread.  The steps stay on scipy's
+# BLAS so that seeded outputs keep their bytes: numpy's OpenBLAS is another
+# build, whose kernels need not round alike.
 
 
 def _rayleigh_ritz(h: HermitianMatrix, vecs: np.ndarray):

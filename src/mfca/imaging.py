@@ -12,17 +12,13 @@ chunks of images (stage "coefficients") and _align_pairs' row blocks of
 pairs (stage "align").  The basis's own pass over the images stays in the
 calling process (see image_basis), and so do projection and noise: their
 results, a chunk of images each, raised the calling process's peak memory
-when they came from workers.  On 2 cores this took image_graph at N=2000
-from 5.3 to 3.1 s at SNR 16 and from 4.3 to 2.5 s at SNR 4.
+when they came from workers.
 
 The kernels do only the work their bytes need: polar_resample takes each
 corner into one reused buffer, the coefficient pass conjugates, scales and
 copies only the frequencies up to m_max, and _align_tile runs its inverse
 FFT and argmax along a frequency-last copy of its GEMM's output.  Each
-writes the same bytes as the layout it replaced.  This took image_graph
-at N=2000 from 7.2 to 5.3 s at SNR 16 and from 5.2 to 4.3 s at SNR 4
-(medians of three alternating runs, on a shared 2-core box where the
-parent ran about twice as slow as in the figures above).
+writes the same bytes as the layout it replaced.
 
 An image stack is one float64 (n, L, L) array with L odd, so a center pixel
 exists.  Pixel convention: pixels[a, b] = I(s_a, t_b) with s, t running over

@@ -16,14 +16,12 @@ knn_streamed's row blocks; so do the image path's coefficient chunks and
 alignment row blocks (see imaging).  Processes, not threads, because
 scipy's ARPACK holds the GIL.  With one usable CPU, or where the platform
 cannot fork, the same tasks run in the calling process, and the process
-pool is not imported.  On 2 cores processes took knn_streamed from 0.26 to
-0.15 s at N=2000, and from 3.9 to 2.0 s at N=8000.  The array stages'
-outputs come from shared_empty, made before the workers fork, so each task
-writes its own slice in place and returns nothing; only embed_all's
-blocks travel back pickled.  embed_all's `then` runs a caller's
-per-frequency output (the CLI's spectrum and scatter files) in the worker
-that solved the frequency, while the other solves run: on 2 cores that
-took the CLI's `run` at N=600, graph density 0.1, from 0.57 to 0.45 s.
+pool is not imported.  The array stages' outputs come from shared_empty,
+made before the workers fork, so each task writes its own slice in place
+and returns nothing; only embed_all's blocks travel back pickled.
+embed_all's `then` runs a caller's per-frequency output (the CLI's
+spectrum and scatter files) in the worker that solved the frequency,
+while the other solves run.
 Each worker sets its OpenBLAS to one thread, so a program that imported
 numpy before mfca, with BLAS threads in its own process (see the
 package's __init__), does not oversubscribe the cores with them.
@@ -262,10 +260,14 @@ def fork_map(stage: str, fn, tasks: list, then=None) -> list:
     wrapper (a profiler's span, a cache) keeps its records in the process
     that calls it, and a worker's copy would die with the worker.
 
-    The first error, in fn or in then, or an interrupt, cancels every task
-    not yet started; it is raised once the running ones have stopped.  A
-    worker that dies (a signal, the OOM killer) raises ChildProcessError
-    naming `stage` and its exit status.  No worker outlives the call.
+    The tasks go through ProcessPoolExecutor.map.  The error raised, from
+    fn or from then, is the first failing task's in task order, once every
+    task before it has finished, as on the in-process path: the same error
+    on any number of workers.  Tasks not started by then are cancelled,
+    and the error is raised once the running ones have stopped; an
+    interrupt does the same.  A worker that dies (a signal, the OOM
+    killer) raises ChildProcessError naming `stage` and its exit status.
+    No worker outlives the call.
     """
     workers = min(len(tasks), usable_cpus())
     here = workers <= 1 or not hasattr(os, "fork") or hasattr(getattr(fn, "func", fn), "__wrapped__")
@@ -275,7 +277,7 @@ def fork_map(stage: str, fn, tasks: list, then=None) -> list:
         return [fn(task) for task in tasks]
     # imported here, so that `import mfca` does not pay for the process pool
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
@@ -283,12 +285,7 @@ def fork_map(stage: str, fn, tasks: list, then=None) -> list:
         initializer=_adopt, initargs=(fn, os.getpid()),
     )
     try:
-        futures = [pool.submit(_run_task, task) for task in tasks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            if future.done() and future.exception() is not None:
-                raise future.exception()
-        return [future.result() for future in futures]
+        return list(pool.map(_run_task, tasks))
     except BrokenProcessPool as exc:
         # the pool's own map of its workers: one that has died is missing
         # from active_children(), and shutdown drops the map

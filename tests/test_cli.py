@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import json
@@ -895,6 +896,32 @@ def test_eigensolver_error_is_one_line(sim_dir, tmp_path, monkeypatch, capsys, c
     argv += ["--graph", str(sim / "graph_p1.csv"), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: iterative solver failed: no convergence\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_frequency_writer_error_is_one_line(sim_dir, tmp_path, monkeypatch, capsys, cpus):
+    # every frequency's spectrum file fails to write, in the worker that
+    # solved it on two CPUs; k_max is queued first, so its error is the
+    # one raised on any number of workers
+    tmp, cfg, sim = sim_dir
+    parent = os.getpid()
+    real_write = cli.write_csv
+
+    def write_csv(path, *args):
+        if path.name.startswith("spectrum_k"):
+            assert (os.getpid() == parent) == (cpus == 1)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real_write(path, *args)
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "write_csv", write_csv)
+    out = tmp_path / "o"
+    argv = ["run", "--config", cfg, "--frames", str(sim / "frames.csv")]
+    argv += ["--graph", str(sim / "graph_p1.csv"), "--out", str(out)]
+    assert cli.main(argv) == 1
+    cause = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out / "spectrum_k10.csv"))
+    assert capsys.readouterr().err == f"error: {cause}\n"
     assert multiprocessing.active_children() == []
 
 

@@ -355,6 +355,21 @@ class TestForkMap:
         assert (out[:, 1] == os.getpid()).all() == (cpus == 1)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_error_in_task_order(self, monkeypatch, cpus):
+        # task 0 fails last in time, but first in task order: its error is
+        # the one raised, as on one CPU, however many workers run
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+
+        def fail(task):
+            if task == 0:
+                time.sleep(0.3)
+            raise ValueError(f"task {task}")
+
+        with pytest.raises(ValueError, match="^task 0$"):
+            pipeline.fork_map("test", fail, [0, 1, 2])
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "shape, dtype", [((3,), np.int16), ((2, 5, 4), complex), ((0,), float), ((4, 0), np.int64)]
     )
