@@ -250,6 +250,12 @@ def degrees(graph: ObservationGraph) -> np.ndarray:
     )
 
 
+def triangle_start(row, n: int):
+    """Position of pair (row, row + 1) in the row-major upper triangle of an
+    n x n matrix: the number of pairs of rows 0..row-1."""
+    return row * (2 * n - row - 1) // 2
+
+
 def upper_pairs(flat, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j), i < j, at the given positions of the row-major
     upper triangle of an n x n matrix, the order of np.triu_indices(n, 1),
@@ -258,5 +264,5 @@ def upper_pairs(flat, n: int) -> tuple[np.ndarray, np.ndarray]:
     ii = (
         n - 2 - np.floor(np.sqrt(-8.0 * flat + 4.0 * n * (n - 1) - 7.0) / 2.0 - 0.5)
     ).astype(np.int64)
-    jj = flat + ii + 1 - ii * (2 * n - ii - 1) // 2
+    jj = flat + ii + 1 - triangle_start(ii, n)
     return ii, jj

@@ -5,14 +5,13 @@ ranks set by the noise, rotationally invariant distances with in-plane
 alignment estimation in that basis, and construction of an observation
 graph from images alone.
 
-The image graph's two per-image passes after the basis run on
-pipeline.fork_map's forked workers, each task writing its own disjoint
-slice, in place, of an output made by pipeline.shared_empty: _coefficients'
-chunks of images (stage "coefficients") and _align_pairs' row blocks of
-pairs (stage "align").  The basis's own pass over the images stays in the
-calling process (see image_basis), and so do projection and noise: their
-results, a chunk of images each, raised the calling process's peak memory
-when they came from workers.
+Both of the image graph's passes over the images, the one that sums the
+basis's Gram matrices (image_basis) and the one that keeps each image's
+coefficients in it (_coefficients), run in the calling process, one chunk
+of images at a time, and so do projection and noise.  Only the O(N^2)
+alignment forks: _align_pairs' row blocks of pairs go to
+pipeline.fork_map's workers (stage "align"), each task writing its own
+disjoint stretch, in place, of outputs made by pipeline.shared_empty.
 
 The kernels do only the work their bytes need: polar_resample takes each
 corner into one reused buffer, the coefficient pass conjugates, scales and
@@ -38,7 +37,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import graphs
-from .graphs import ObservationGraph, row_blocks, upper_pairs
+from .graphs import ObservationGraph, row_blocks, triangle_start, upper_pairs
 from .pipeline import fork_map, shared_empty
 
 SUPPORT_RADIUS = 0.8
@@ -219,30 +218,24 @@ def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
     return polar, radii
 
 
-def _spectra_chunks(images) -> list:
-    """The (lo, hi) chunks of the checked stack `images` for
-    _angular_spectra, each within graphs.WORK_BYTES."""
-    n_r = images.shape[1] // 2
-    # per image: the polar samples and the gathered corner, then the
-    # spectrum, its transposed copy and that copy's conjugate in
-    # image_basis; _chunk_coefficients' copy of the band is no larger
-    return list(row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M)))
-
-
-def _angular_spectra(images, chunks: list, n_m: int = N_M):
-    """(lo, hi, z) over the (lo, hi) `chunks` of the checked stack `images`,
-    with z of shape (n_m, L // 2, hi - lo) and
-    z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)), F_i(m, r) being image i's
-    m-th angular Fourier coefficient on the ring of radius r, for the
-    frequencies m < n_m.  Then z_i(m)^H z_j(m) = sum_r r F_i(m, r)
-    conj(F_j(m, r)), the radially weighted cross-power of images i and j at
-    frequency m.
+def _angular_spectra(images, n_m: int = N_M):
+    """(lo, hi, z) over consecutive chunks lo:hi of the checked stack
+    `images`, each within graphs.WORK_BYTES, with z of shape
+    (n_m, L // 2, hi - lo) and z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)),
+    F_i(m, r) being image i's m-th angular Fourier coefficient on the ring
+    of radius r, for the frequencies m < n_m.  Then z_i(m)^H z_j(m) =
+    sum_r r F_i(m, r) conj(F_j(m, r)), the radially weighted cross-power of
+    images i and j at frequency m.
 
     The FFT gives every frequency; the conjugate, the sqrt(r) scale and the
     transposed copy, all elementwise, run on the first n_m alone, so z
     holds the same bits as the first n_m rows of the full band.
     """
-    for lo, hi in chunks:
+    n_r = images.shape[1] // 2
+    # per image: the polar samples and the gathered corner, then the
+    # spectrum, its transposed copy and that copy's conjugate in
+    # image_basis; _coefficients' product with the basis is no larger
+    for lo, hi in row_blocks(len(images), n_r * (2 * 8 * N_THETA + 3 * 16 * N_M)):
         polar, radii = polar_resample(images[lo:hi])
         spectra = np.fft.rfft(polar, axis=-1)[..., :n_m]
         del polar
@@ -349,13 +342,10 @@ def image_basis(images) -> ImageBasis:
     the polar analogue of steerable PCA (Zhao, Shkolnisky & Singer, IEEE
     TCI 2016), with ranks set by the noise.
 
-    One pass over chunks of images accumulates G_m = (1/n) sum_i z_i(m)
-    z_i(m)^H for every m.  The pass stays in this process, unlike
-    _coefficients': its sum, chunk by chunk in order, sets the basis's
-    bits, and a worker would send back each chunk's Gram matrices
-    (N_M x (L // 2)^2 complex, 3 MB at L = 65), which costs more than
-    forming them.  White pixel noise of variance sigma^2 adds
-    sigma^2 N_m to G_m, with N_m from _noise_gram, so
+    One pass over chunks of images, in this process, accumulates
+    G_m = (1/n) sum_i z_i(m) z_i(m)^H for every m; its sum, chunk by chunk
+    in order, sets the basis's bits.  White pixel noise of variance
+    sigma^2 adds sigma^2 N_m to G_m, with N_m from _noise_gram, so
 
         sigma^2 = sum_m tr G_m / sum_m tr N_m    over m >= NOISE_BAND,
 
@@ -372,7 +362,7 @@ def image_basis(images) -> ImageBasis:
     gram = np.zeros((N_M, n_r, n_r), dtype=complex)
     # the Gram update in blocks of frequencies, each an eighth of the budget
     m_blocks = list(row_blocks(N_M, 8 * 16 * n_r * n_r))
-    for _, _, z in _angular_spectra(images, _spectra_chunks(images)):
+    for _, _, z in _angular_spectra(images):
         zh = np.conj(z).transpose(0, 2, 1)
         for a, b in m_blocks:
             gram[a:b] += z[a:b] @ zh[a:b]
@@ -393,17 +383,6 @@ def image_basis(images) -> ImageBasis:
     return ImageBasis(sigma=float(np.sqrt(sigma2)), vectors=tuple(vectors[: m_max + 1]))
 
 
-def _chunk_coefficients(images, basis_h: np.ndarray, coeffs: np.ndarray, chunk: tuple) -> None:
-    """Write basis_h @ z for the images lo:hi of one chunk of
-    _angular_spectra, their complex coefficients, into columns lo:hi of
-    _coefficients' `coeffs`: real parts over imaginary parts."""
-    lo, hi = chunk
-    [(_, _, z)] = _angular_spectra(images, [chunk], len(basis_h))
-    c = basis_h @ z
-    coeffs[:, : c.shape[1], lo:hi] = c.real
-    coeffs[:, c.shape[1] :, lo:hi] = c.imag
-
-
 def _coefficients(images, basis: ImageBasis) -> tuple[np.ndarray, np.ndarray]:
     """Each image's coefficients U_m^H z_i(m) in the basis, zero-padded to
     r = max r_m and split into real parts over imaginary parts, shape
@@ -412,18 +391,20 @@ def _coefficients(images, basis: ImageBasis) -> tuple[np.ndarray, np.ndarray]:
     the full angular spectrum (frequencies 0 < m < N_THETA / 2 count
     twice).
 
-    The chunks of images go to fork_map's workers, forked after the stack
-    exists, so no image is copied; coeffs comes from shared_empty, and each
-    chunk writes its own columns in place, so the bytes are the same on any
-    number of workers."""
+    A second pass over the chunks of _angular_spectra, in this process,
+    cut to the frequencies m <= m_max, writes each chunk's coefficients
+    into its own columns of coeffs, a shared_empty array that
+    _align_pairs' forked workers then read."""
     ranks = basis.ranks
     n_r, width = images.shape[1] // 2, max(ranks)
     basis_h = np.zeros((len(ranks), width, n_r), dtype=complex)
     for m, u in enumerate(basis.vectors):
         basis_h[m, : u.shape[1]] = np.conj(u).T
     coeffs = shared_empty((len(ranks), 2 * width, len(images)), float)
-    task = partial(_chunk_coefficients, images, basis_h, coeffs)
-    fork_map("coefficients", task, _spectra_chunks(images))
+    for lo, hi, z in _angular_spectra(images, len(ranks)):
+        c = basis_h @ z
+        coeffs[:, :width, lo:hi] = c.real
+        coeffs[:, width:, lo:hi] = c.imag
     twice = np.full(len(ranks), 2.0)
     twice[0] = 1.0
     if len(ranks) == N_M:
@@ -473,17 +454,11 @@ def _align_tile(
     return np.sqrt(d2), shifts
 
 
-def _triangle_start(row, n):
-    """Position of pair (row, row + 1) in the row-major upper triangle of n
-    images: the number of pairs of rows 0..row-1."""
-    return row * (2 * n - row - 1) // 2
-
-
 def _align_rows(coeffs: np.ndarray, energies: np.ndarray, flat, flat_shift, block: tuple) -> None:
     """Write the distances and best shifts of every pair i < j with i in
     the rows lo:hi of `block` into their stretch of the row-major triangle
-    vectors `flat` and `flat_shift`, from _triangle_start(lo) to
-    _triangle_start(hi), aligned in tiles of these rows by column tiles,
+    vectors `flat` and `flat_shift`, from triangle_start(lo, n) to
+    triangle_start(hi, n), aligned in tiles of these rows by column tiles,
     each within graphs.WORK_BYTES at any n."""
     lo, hi = block
     n = coeffs.shape[2]
@@ -496,7 +471,7 @@ def _align_rows(coeffs: np.ndarray, energies: np.ndarray, flat, flat_shift, bloc
         i = np.arange(lo, hi)[:, None]
         j = np.arange(c0, c1)
         pairs = j > i
-        at = (_triangle_start(i, n) + j - i - 1)[pairs]
+        at = (triangle_start(i, n) + j - i - 1)[pairs]
         flat[at] = d[pairs]
         flat_shift[at] = s[pairs]
 

@@ -841,7 +841,6 @@ class TestFramesInput:
         # the worker dies writing its frequency's files, after the solve
         ("embed", "write", "a worker process ended with exit status 3"),
         ("knn", "kill", "a worker process was killed by SIGKILL"),
-        ("coefficients", "kill", "a worker process was killed by SIGKILL"),
         ("align", "exit", "a worker process ended with exit status 3"),
     ],
 )
@@ -867,11 +866,10 @@ def test_dead_worker_names_the_stage(sim_dir, tmp_path, monkeypatch, capsys, sta
         monkeypatch.setattr(graphs, "WORK_BYTES", 8 * pipeline._KNN_ENTRY_BYTES * 200)
         monkeypatch.setattr(pipeline, "_knn_rows", die)
     else:
-        # 2-row alignment blocks and 2-image chunks: about 30 tasks each
-        # for 60 images; the coefficients run before the alignment
+        # 2-row alignment blocks: about 30 tasks for 60 images; the
+        # passes over the images run before, in the calling process
         monkeypatch.setattr(graphs, "WORK_BYTES", 4 * imaging._PAIR_BYTES)
-        task = "_chunk_coefficients" if stage == "coefficients" else "_align_rows"
-        monkeypatch.setattr(imaging, task, die)
+        monkeypatch.setattr(imaging, "_align_rows", die)
         argv = ["images", "--config", write_config(
             tmp_path, n_frames=60, cos_threshold=0.8, k_max=2, knn_k=5,
             image_size=9, snr_values=[8.0],

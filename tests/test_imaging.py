@@ -433,11 +433,9 @@ class TestCoefficients:
         for m, u in enumerate(basis.vectors):
             basis_h[m, : u.shape[1]] = np.conj(u).T
         width = basis_h.shape[1]
-        coeffs = np.zeros((m_max + 1, 2 * width, len(imgs)))
-        chunks = imaging._spectra_chunks(imgs)
-        for chunk, (lo, hi, z) in zip(chunks, imaging._angular_spectra(imgs, chunks)):
+        coeffs = imaging._coefficients(imgs, basis)[0]
+        for lo, hi, z in imaging._angular_spectra(imgs):
             assert z.shape[0] == imaging.N_M
-            imaging._chunk_coefficients(imgs, basis_h, coeffs, chunk)
             want = basis_h @ z[: m_max + 1]
             assert coeffs[:, :width, lo:hi].tobytes() == want.real.tobytes()
             assert coeffs[:, width:, lo:hi].tobytes() == want.imag.tobytes()
@@ -580,17 +578,18 @@ class TestImageGraph:
         side = math.isqrt(graphs.WORK_BYTES // imaging._PAIR_BYTES)
         blocks = list(graphs.row_blocks(n - 1, side * imaging._PAIR_BYTES))
         assert len(blocks) == 77
-        assert imaging._triangle_start(blocks[0][1], n) == 12_909
+        assert graphs.triangle_start(blocks[0][1], n) == 12_909
         peak, _ = _traced(lambda: imaging._align_pairs(coeffs, energies))
         assert peak < 4096 * len(blocks)
         assert multiprocessing.active_children() == []
 
     def test_same_bytes_on_any_worker_count(self, noisy, monkeypatch):
-        # 6-row alignment blocks make 13 tasks and 2-image chunks 40, so
-        # each worker count shares them out differently
+        # 6-row alignment blocks make 13 tasks, so each worker count shares
+        # them out differently; the coefficients, in 2-image chunks, are
+        # computed in this process on any worker count
         imgs = noisy[0]
         monkeypatch.setattr(graphs, "WORK_BYTES", 36 * imaging._PAIR_BYTES)
-        assert len(imaging._spectra_chunks(imgs)) == 40
+        assert len(list(imaging._angular_spectra(imgs))) == 40
         side = math.isqrt(graphs.WORK_BYTES // imaging._PAIR_BYTES)
         assert len(list(graphs.row_blocks(len(imgs) - 1, side * imaging._PAIR_BYTES))) == 13
         got = {}
@@ -600,6 +599,25 @@ class TestImageGraph:
             g, _ = imaging.image_graph(imgs, edge_fraction=0.1)
             got[cpus] = [a.tobytes() for a in (coeffs, energies, g.edge_i, g.edge_j, g.theta)]
         assert got[1] == got[2] == got[3]
+        assert multiprocessing.active_children() == []
+
+    def test_both_passes_run_where_polar_resample_is_wrapped(self, noisy, monkeypatch):
+        # a wrapper of polar_resample, as a profiler installs, must see every
+        # chunk of both passes over the images, the basis's and the
+        # coefficients', even when the alignment forks
+        imgs = noisy[0]
+        sizes = [hi - lo for lo, hi, _ in imaging._angular_spectra(imgs)]
+        calls = []
+        resample = imaging.polar_resample
+
+        def counted(chunk):
+            calls.append(len(chunk))
+            return resample(chunk)
+
+        monkeypatch.setattr(imaging, "polar_resample", counted)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        imaging.image_graph(imgs, edge_fraction=0.1)
+        assert calls == sizes + sizes
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
