@@ -40,26 +40,12 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """An n x n Hermitian matrix, stored as sparse CSR.
-
-    A real input stays real, so ARPACK's symmetric Lanczos driver solves it
-    and keeps a degenerate eigenspace's basis orthonormal.
-    """
+    """An n x n Hermitian matrix, stored as sparse CSR."""
 
     data: sp.csr_matrix
 
     def __post_init__(self):
-        d = sp.csr_matrix(self.data)
-        if d.shape[0] != d.shape[1]:
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.data.data) ** 2)))
+        object.__setattr__(self, "data", sp.csr_matrix(self.data))
 
 
 @dataclass(frozen=True)
@@ -67,11 +53,7 @@ class EigenPairs:
     """Eigenvalues sorted descending with orthonormal eigenvector columns."""
 
     values: np.ndarray  # (m,) real
-    vectors: np.ndarray  # (n, m) complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=complex))
+    vectors: np.ndarray  # (n, m), real for real input
 
 
 # The dense steps below (QR, the m x m products, the eigh of the Ritz matrix
@@ -99,7 +81,7 @@ def _check_contract(h: HermitianMatrix, values, vectors, h_vectors) -> None:
     """Raise EigensolverError unless every residual ||H v - lambda v|| is at
     most RESIDUAL_TOL * max(1, ||H||_F) and max |V^H V - I| is at most
     ORTHO_TOL; h_vectors is H @ vectors."""
-    scale = max(1.0, h.frobenius())
+    scale = max(1.0, float(np.sqrt(np.sum(np.abs(h.data.data) ** 2))))
     resid = h_vectors - vectors * values[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
     if not worst <= RESIDUAL_TOL * scale:  # NaN fails too
@@ -118,7 +100,7 @@ def top_eigenpairs(h: HermitianMatrix, m: int) -> EigenPairs:
     """The m algebraically largest eigenpairs of h, descending, for
     1 <= m < n - 1, with orthonormal eigenvectors (real for real input).
     Every solve starts from one fixed seeded draw; ARPACK normalises it."""
-    n = h.n
+    n = h.data.shape[0]
     if not 1 <= m < n - 1:
         limit = f"ARPACK needs 1 <= m < n - 1 = {n - 1}"
         raise EigensolverError(f"requested m = {m} eigenpairs of an n = {n} matrix; {limit}")

@@ -12,8 +12,8 @@ of rows, each within graphs.WORK_BYTES at any n, so no n x n matrix is built.
 
 Both stages run on fork_map's forked worker processes, one a usable CPU:
 embed_all's solves, every H^(k) on the graph's one CSR pattern, and
-knn_streamed's row blocks; so do the image path's coefficient chunks and
-alignment row blocks (see imaging).  Processes, not threads, because
+knn_streamed's row blocks; so do the image path's alignment row blocks
+(see imaging).  Processes, not threads, because
 scipy's ARPACK holds the GIL.  With one usable CPU, or where the platform
 cannot fork, the same tasks run in the calling process, and the process
 pool is not imported.  The array stages' outputs come from shared_empty,
@@ -62,14 +62,10 @@ class FrequencyBlock:
     isolated: np.ndarray  # (n,) bool: zero-degree vertices
 
     def __post_init__(self):
-        emb = np.asarray(self.embedding, dtype=complex)
-        isolated = np.asarray(self.isolated, dtype=bool)
-        norms = np.linalg.norm(emb, axis=1)
-        rows = emb / np.where(norms > 0, norms, 1.0)[:, None]
-        rows[isolated | (norms == 0)] = 0.0
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+        norms = np.linalg.norm(self.embedding, axis=1)
+        rows = self.embedding / np.where(norms > 0, norms, 1.0)[:, None]
+        rows[self.isolated | (norms == 0)] = 0.0
         object.__setattr__(self, "embedding", rows)
-        object.__setattr__(self, "isolated", isolated)
 
     @property
     def n(self) -> int:

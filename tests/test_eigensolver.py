@@ -43,22 +43,6 @@ def start_from_seed(monkeypatch, seed):
     monkeypatch.setattr(es, "eigsh", seeded_eigsh)
 
 
-class TestHermitianMatrix:
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            es.HermitianMatrix(data=np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            es.HermitianMatrix(data=sp.csr_matrix((2, 3)))
-
-    def test_frobenius_matches_dense(self):
-        m = random_hermitian(6, 0)
-        h_dense = es.HermitianMatrix(data=m)
-        h_sparse = es.HermitianMatrix(data=sp.csr_matrix(m))
-        ref = np.linalg.norm(m)
-        assert np.isclose(h_dense.frobenius(), ref)
-        assert np.isclose(h_sparse.frobenius(), ref)
-
-
 class TestTopEigenpairs:
     def test_identity(self):
         h = es.HermitianMatrix(data=np.eye(4))
@@ -245,6 +229,7 @@ class TestTopEigenpairs:
         m = random_hermitian(50, 17, density=0.2).real
         pairs = es.top_eigenpairs(es.HermitianMatrix(data=sp.csr_matrix(m)), 6)
         assert dtypes == [np.float64]
+        assert pairs.vectors.dtype == np.float64
         assert not np.any(pairs.vectors.imag)
         assert np.allclose(pairs.values, np.sort(np.linalg.eigvalsh(m))[::-1][:6], atol=1e-9)
 
