@@ -243,13 +243,6 @@ def _sorted_isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return hit
 
 
-def degrees(graph: ObservationGraph) -> np.ndarray:
-    """Number of incident edges per vertex."""
-    return np.bincount(
-        np.concatenate([graph.edge_i, graph.edge_j]), minlength=graph.n_vertices
-    )
-
-
 def triangle_start(row, n: int):
     """Position of pair (row, row + 1) in the row-major upper triangle of an
     n x n matrix: the number of pairs of rows 0..row-1."""

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigensolver import HermitianMatrix, top_eigenpairs
-from .graphs import ObservationGraph, degrees, row_blocks, upper_pairs
+from .graphs import ObservationGraph, row_blocks, upper_pairs
 from .so3 import FrameSet
 
 # temporaries per affinity entry of a K-NN block: the complex product, the
@@ -72,42 +72,25 @@ class FrequencyBlock:
         return self.embedding.shape[0]
 
 
-@dataclass(frozen=True)
-class CsrPattern:
-    """The sparsity pattern that every H^(k) of one graph shares: CSR
-    `indptr` and `indices` over both orientations of every edge, sorted
-    within each row and free of duplicates, so scipy never rewrites these
-    shared arrays; and the gather from edges to CSR slots: slot s holds edge
-    `edge[s]`, as (j, i) where `flip[s]`."""
-
-    indptr: np.ndarray  # (n + 1,)
-    indices: np.ndarray  # (2E,)
-    edge: np.ndarray  # (2E,)
-    flip: np.ndarray  # (2E,) bool
-
-
-def csr_pattern(graph: ObservationGraph) -> CsrPattern:
-    """H^(k)'s CSR pattern, for every k at once; int32 indices while they
-    fit, as scipy's own COO-to-CSR conversion picks."""
+def csr_pattern(graph: ObservationGraph) -> sp.csr_matrix:
+    """H^(k)'s CSR pattern, for every k at once: scipy's COO-to-CSR
+    conversion of both orientations of every edge, whose data number the
+    slots.  Slot s holds edge `data[s] mod m`, as (j, i) where `data[s] >=
+    m`.  The edges are distinct, so the conversion sums nothing and its
+    output is canonical (sorted within each row, int32 indices while they
+    fit): scipy never rewrites the `indptr` and `indices` every H^(k)
+    shares."""
     n, m = graph.n_vertices, graph.n_edges
     rows = np.concatenate([graph.edge_i, graph.edge_j])
     cols = np.concatenate([graph.edge_j, graph.edge_i])
-    order = np.argsort(rows * n + cols)  # distinct keys: every sort agrees
-    idx = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(degrees(graph), out=indptr[1:])
-    flip = order >= m
-    return CsrPattern(
-        indptr=indptr, indices=cols[order].astype(idx),
-        edge=np.where(flip, order - m, order).astype(idx), flip=flip,
-    )
+    return sp.csr_matrix((np.arange(2 * m, dtype=np.intp), (rows, cols)), shape=(n, n))
 
 
 def build_H(
-    graph: ObservationGraph, k: int, pattern: CsrPattern | None = None
+    graph: ObservationGraph, k: int, pattern: sp.csr_matrix | None = None
 ) -> HermitianMatrix:
     """The degree-normalized H^(k) = D^{-1/2} W^(k) D^{-1/2}, with W^(k)_ij
-    = e^{i k theta_ij} on edges, its values written straight into CSR order
+    = e^{i k theta_ij} on edges, its values gathered straight into CSR order
     on the graph's csr_pattern (built here unless given); zero-degree rows
     stay empty.  Each value rounds as (inv_sqrt[i] * phase) * inv_sqrt[j],
     as two diagonal products would; Hermitian via the theta_ji = -theta_ij
@@ -115,11 +98,11 @@ def build_H(
     if k < 1:
         raise ValueError("k must be >= 1")
     p = csr_pattern(graph) if pattern is None else pattern
-    n = graph.n_vertices
+    n, m = graph.n_vertices, graph.n_edges
     degs = np.diff(p.indptr)
     inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
-    values = np.exp(1j * k * graph.theta)[p.edge]
-    np.conjugate(values, out=values, where=p.flip)
+    values = np.take(np.exp(1j * k * graph.theta), p.data, mode="wrap")
+    np.conjugate(values, out=values, where=p.data >= m)
     # in place, value * scale rounds as scale * value: one product is zero
     values *= np.repeat(inv_sqrt, degs)
     values *= inv_sqrt[p.indices]
@@ -132,7 +115,7 @@ def min_vertices(k: int) -> int:
 
 
 def embed(
-    graph: ObservationGraph, k: int, pattern: CsrPattern | None = None
+    graph: ObservationGraph, k: int, pattern: sp.csr_matrix | None = None
 ) -> FrequencyBlock:
     """Top 2k+1 eigenvectors of the normalized H^(k), one row per vertex;
     retains 2k+2 eigenvalues so the trailing gap is reportable.  The graph

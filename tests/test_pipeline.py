@@ -62,7 +62,7 @@ def coo_H(graph, k):
     """Reference H^(k): the one COO-to-CSR build of both orientations of
     every edge that build_H used before the shared CSR pattern."""
     n = graph.n_vertices
-    degs = graphs.degrees(graph)
+    degs = np.bincount(np.concatenate([graph.edge_i, graph.edge_j]), minlength=n)
     inv_sqrt = np.where(degs > 0, 1.0 / np.sqrt(np.maximum(degs, 1)), 0.0)
     rows = np.concatenate([graph.edge_i, graph.edge_j])
     cols = np.concatenate([graph.edge_j, graph.edge_i])
@@ -100,7 +100,7 @@ def _edges(graph, index):
 class TestBuildH:
     def test_entries(self, clean):
         h = pipeline.build_H(clean, 2).data.toarray()
-        degs = graphs.degrees(clean)
+        degs = np.diff(pipeline.csr_pattern(clean).indptr)
         e = 0
         i, j, t = clean.edge_i[e], clean.edge_j[e], clean.theta[e]
         scale = np.sqrt(degs[i] * degs[j])
@@ -159,6 +159,25 @@ class TestBuildH:
             for name in ("indptr", "indices"):
                 assert np.shares_memory(getattr(h, name), getattr(pattern, name)), name
             assert h.has_canonical_format
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_memory_per_edge(self, n):
+        # the pattern holds int32 indices and intp slot numbers, 24 B an edge,
+        # and its build peaks at about 88; build_H gathers from the slots
+        # without copying them, about 49-51 B an edge (int32 slots, read as
+        # `slots % m`, add 8 B an edge)
+        graph = graphs.clean_graph(so3.sample_uniform(3, n), 0.95)
+        m = graph.n_edges
+        tracemalloc.start()
+        try:
+            pattern = pipeline.csr_pattern(graph)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 92 * m
+        assert held <= 26 * m
+        peak, _ = _traced(lambda: pipeline.build_H(graph, 1, pattern))
+        assert peak <= 54 * m
 
 
 class TestNormalize:
