@@ -304,6 +304,21 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _image_chunks(frames: FrameSet, snr: float, cfg: ExperimentConfig):
+    """The images of `frames` at `snr`, one chunk of frames within
+    graphs.WORK_BYTES at a time: projected, then image i made noisy in
+    place with its own seed cfg.seed + 10 + i, so no stack is ever held."""
+    phantom = imaging.default_phantom()
+    L = cfg.image_size
+    # per frame: its projected pixels and their copy in save_images' records
+    for lo, hi in graphs.row_blocks(len(frames), 2 * 8 * L * L):
+        imgs = imaging.project(phantom, frames.frames[lo:hi], L=L)
+        if not np.isinf(snr):
+            for i in range(lo, hi):
+                imgs[i - lo] = imaging.add_noise(imgs[i - lo], snr, cfg.seed + 10 + i)
+        yield imgs
+
+
 def cmd_images(args) -> int:
     cfg = _load_config(args)
     n = cfg.n_frames
@@ -319,25 +334,19 @@ def cmd_images(args) -> int:
     clean_frac = geometric.n_edges / (n * (n - 1) / 2)
     out = _out_dir(args, cfg)
     frames.to_csv(out / "frames.csv", cfg.hash())
-    phantom = imaging.default_phantom()
     geometric_keys = geometric.edge_i * n + geometric.edge_j
     snrs = cfg.snr_values or (float("inf"),)
     for snr in snrs:
-        # each SNR projects its own stack and adds its noise in place, image
-        # by image, so no clean and noisy stack are ever held together
-        imgs = imaging.project(phantom, frames.frames, L=cfg.image_size)
-        if not np.isinf(snr):
-            for idx, img in enumerate(imgs):
-                imgs[idx] = imaging.add_noise(img, snr, cfg.seed + 10 + idx)
         label = _label(snr)
-        imaging.save_images(out / f"images_snr{label}.bin", imgs)
-        idx = np.arange(len(imgs))
+        path = out / f"images_snr{label}.bin"
+        imaging.save_images(path, _image_chunks(frames, snr, cfg))
+        idx = np.arange(n)
         write_csv(
             out / f"images_snr{label}.csv", "index,seed,snr", cfg.hash(),
             f"%d,%d,{label}\n", idx, cfg.seed + 10 + idx,
         )
-        g, basis = imaging.image_graph(imgs, edge_fraction=clean_frac)
-        del imgs
+        # both passes of the image graph read the images back from the file
+        g, basis = imaging.image_graph(imaging.ImageFile(path), edge_fraction=clean_frac)
         g.to_csv(out / f"image_graph_snr{label}.csv", cfg.hash())
         # share of the geometric graph's edges that the image graph found
         match = float(np.mean(np.isin(geometric_keys, g.edge_i * n + g.edge_j)))

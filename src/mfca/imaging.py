@@ -5,11 +5,16 @@ ranks set by the noise, rotationally invariant distances with in-plane
 alignment estimation in that basis, and construction of an observation
 graph from images alone.
 
-Both of the image graph's passes over the images, the one that sums the
-basis's Gram matrices (image_basis) and the one that keeps each image's
-coefficients in it (_coefficients), run in the calling process, one chunk
-of images at a time, and so do projection and noise.  Only the O(N^2)
-alignment forks: _align_pairs' row blocks of pairs go to
+No stage holds a whole image stack unless its caller hands it one.  The
+CLI's `images` projects and adds noise one chunk of frames at a time,
+which save_images writes to its images_snr*.bin file as they come, and
+hands image_graph an ImageFile over that file.  Both of the image graph's
+passes over the images, the one that sums the basis's Gram matrices
+(image_basis) and the one that keeps each image's coefficients in it
+(_coefficients), run in the calling process and read one chunk of images
+at a time, as _angular_spectra slices them: from the file, with
+np.fromfile, or from an in-memory stack, on the same route.  Only the
+O(N^2) alignment forks: _align_pairs' row blocks of pairs go to
 pipeline.fork_map's workers (stage "align"), each task writing its own
 disjoint stretch, in place, of outputs made by pipeline.shared_empty.
 
@@ -20,14 +25,15 @@ FFT and argmax along a frequency-last copy of its GEMM's output.  Each
 writes the same bytes as the layout it replaced.
 
 An image stack is one float64 (n, L, L) array with L odd, so a center pixel
-exists.  Pixel convention: pixels[a, b] = I(s_a, t_b) with s, t running over
-a uniform grid on [-EXTENT, EXTENT] = [-1, 1] (axis 0 is the first in-plane
-coordinate).
+exists, or an ImageFile of such images.  Pixel convention: pixels[a, b] =
+I(s_a, t_b) with s, t running over a uniform grid on [-EXTENT, EXTENT] =
+[-1, 1] (axis 0 is the first in-plane coordinate).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -109,10 +115,14 @@ def default_phantom() -> Phantom:
     return Phantom(blobs=_DEFAULT_BLOBS)
 
 
-def _stack(images) -> np.ndarray:
+def _stack(images):
     """images as one float64 (n, L, L) array of square images with odd L,
     the one shape that polar_resample, image_basis and image_graph accept;
-    anything else raises a ValueError naming it."""
+    anything else raises a ValueError naming it.  An ImageFile, whose
+    headers were checked when it was opened, is returned as it is, unread:
+    image_basis and image_graph slice it a chunk at a time."""
+    if isinstance(images, ImageFile):
+        return images
     try:
         stack = np.asarray(images, dtype=float)
     except ValueError:
@@ -220,7 +230,8 @@ def polar_resample(images) -> tuple[np.ndarray, np.ndarray]:
 
 def _angular_spectra(images, n_m: int = N_M):
     """(lo, hi, z) over consecutive chunks lo:hi of the checked stack
-    `images`, each within graphs.WORK_BYTES, with z of shape
+    `images`, each within graphs.WORK_BYTES and sliced as images[lo:hi],
+    so an ImageFile reads one chunk at a time, with z of shape
     (n_m, L // 2, hi - lo) and z[m, :, i - lo] = sqrt(r) * conj(F_i(m, r)),
     F_i(m, r) being image i's m-th angular Fourier coefficient on the ring
     of radius r, for the frequencies m < n_m.  Then z_i(m)^H z_j(m) =
@@ -532,10 +543,68 @@ def image_graph(images, edge_fraction: float) -> tuple[ObservationGraph, ImageBa
     return graph, basis
 
 
-def save_images(path, images) -> None:
+def _records(L: int) -> np.dtype:
+    """One image of save_images' layout: an 8-byte little-endian header
+    (two uint32 dims) followed by row-major float64 pixels."""
+    return np.dtype([("shape", "<u4", (2,)), ("pixels", "<f8", (L, L))])
+
+
+def save_images(path, chunks) -> None:
     """Flat binary: per image an 8-byte little-endian header (two uint32
-    dims) followed by row-major float64 pixels."""
+    dims) followed by row-major float64 pixels.  `chunks` is an iterable of
+    image stacks, written in turn, so that a caller who makes its images a
+    chunk at a time never holds more than one chunk."""
     with open(path, "wb") as fh:
-        for img in _stack(images):
-            fh.write(struct.pack("<II", *img.shape))
-            fh.write(img.astype("<f8").tobytes())
+        for images in chunks:
+            images = _stack(images)
+            records = np.empty(len(images), _records(images.shape[1]))
+            records["shape"] = images.shape[1]
+            records["pixels"] = images
+            records.tofile(fh)
+
+
+class ImageFile:
+    """The images of a save_images file, read a slice at a time: len(),
+    .shape, and [lo:hi], which reads those images with np.fromfile into a
+    fresh (hi - lo, L, L) float64 array.  Not a memory map: pages of a map
+    that a pass has touched would stay in the process's RSS.
+
+    Opening reads every header and no pixel, so a truncated file, or images
+    that are not all one odd square size, raise a ValueError naming the
+    file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        n, L = 0, None
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            while header := fh.read(8):
+                if len(header) != 8:
+                    raise ValueError(f"{path}: truncated image header")
+                h, w = struct.unpack("<II", header)
+                L = h if L is None else L
+                if h != w or h % 2 == 0 or h != L:
+                    raise ValueError(
+                        f"{path}: image {n} is {h}x{w}, but the images must "
+                        f"all be {L}x{L} with {L} odd"
+                    )
+                if fh.seek(8 * h * w, os.SEEK_CUR) > size:
+                    raise ValueError(f"{path}: truncated image payload")
+                n += 1
+        if not n:
+            raise ValueError(f"{path}: no images")
+        self.shape = (n, L, L)
+        self._records = _records(L)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        lo, hi, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError(f"{self.path}: images are read in consecutive slices, not step {step}")
+        count = max(0, hi - lo)
+        return np.fromfile(
+            self.path, self._records, count=count, offset=lo * self._records.itemsize
+        )["pixels"]

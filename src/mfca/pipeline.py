@@ -22,9 +22,10 @@ and returns nothing; only embed_all's blocks travel back pickled.
 embed_all's `then` runs a caller's per-frequency output (the CLI's
 spectrum and scatter files) in the worker that solved the frequency,
 while the other solves run.
-Each worker sets its OpenBLAS to one thread, so a program that imported
-numpy before mfca, with BLAS threads in its own process (see the
-package's __init__), does not oversubscribe the cores with them.
+Each worker sets its OpenBLAS to one thread, through setters the parent
+finds once, so a program that imported numpy before mfca, with BLAS
+threads in its own process (see the package's __init__), does not
+oversubscribe the cores with them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import mmap
 import os
 import signal
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,12 +155,16 @@ _BLAS_SET_THREADS = (
 )
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS loaded in this process to one thread.  A program
-    that imported numpy before mfca, with OPENBLAS_NUM_THREADS unset, loaded
-    OpenBLAS with a thread a core; forked workers, one a core, would then
-    oversubscribe the cores (knn_streamed ran 2-25x slower).  The loaded
-    libraries are found in the process's memory map, so only Linux's."""
+@cache
+def _blas_setters() -> tuple:
+    """The thread-count setter of every OpenBLAS loaded in this process.  A
+    program that imported numpy before mfca, with OPENBLAS_NUM_THREADS
+    unset, loaded OpenBLAS with a thread a core; forked workers, one a core,
+    would then oversubscribe the cores (knn_streamed ran 2-25x slower).
+    The loaded libraries are found in the process's memory map, so only
+    Linux's.  Importing mfca loads numpy's and scipy's, so they are found
+    once a process, before fork_map's first fork, and each worker only
+    calls the setters with 1."""
     paths = set()
     try:
         with open("/proc/self/maps") as fh:
@@ -168,7 +173,8 @@ def _one_blas_thread() -> None:
                 if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
                     paths.add(fields[5].strip())
     except OSError:
-        return
+        return ()
+    setters = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -176,19 +182,22 @@ def _one_blas_thread() -> None:
             continue
         setter = next((getattr(lib, s) for s in _BLAS_SET_THREADS if hasattr(lib, s)), None)
         if setter is not None:
-            setter(1)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setters.append(setter)
+    return tuple(setters)
 
 
-def _adopt(fn, parent: int) -> None:
-    """Start a fork_map worker: keep fn, run BLAS on one thread, leave an
-    interrupt to the parent, which lets the running tasks finish, and die
-    with the parent.  A worker waits on a queue whose write end it holds
-    itself, so without the kernel's parent-death signal (Linux prctl) it
-    would outlive a parent killed outright, by SIGKILL or SIGTERM, blocked
-    for good."""
+def _adopt(fn, parent: int, blas_setters: tuple) -> None:
+    """Start a fork_map worker: keep fn, run BLAS on one thread through the
+    parent's _blas_setters, leave an interrupt to the parent, which lets the
+    running tasks finish, and die with the parent.  A worker waits on a
+    queue whose write end it holds itself, so without the kernel's
+    parent-death signal (Linux prctl) it would outlive a parent killed
+    outright, by SIGKILL or SIGTERM, blocked for good."""
     global _job
     _job = fn
-    _one_blas_thread()
+    for setter in blas_setters:
+        setter(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
@@ -261,7 +270,7 @@ def fork_map(stage: str, fn, tasks: list, then=None) -> list:
 
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt, initargs=(fn, os.getpid()),
+        initializer=_adopt, initargs=(fn, os.getpid(), _blas_setters()),
     )
     try:
         return list(pool.map(_run_task, tasks))

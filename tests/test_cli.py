@@ -7,8 +7,10 @@ import multiprocessing
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1094,6 +1096,69 @@ class TestImages:
         lines = (out / "images_snr2.5.csv").read_text().splitlines()
         assert lines[0] == "index,seed,snr"
         assert lines[2:] == [f"{i},{16 + i},2.5" for i in range(20)]
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_frame_chunks_match_one_stack(self, tmp_path, monkeypatch, delta):
+        # chunks of 8 frames, and n one below, at or one above 3 chunks; the
+        # last chunk of 25 frames takes the one-frame rest, as row_blocks
+        # folds it
+        n, L, snr, seed = 24 + delta, 9, 2.5, 4
+        monkeypatch.setattr(graphs, "WORK_BYTES", 8 * 2 * 8 * L * L)
+        cfg = write_config(
+            tmp_path, seed=seed, n_frames=n, cos_threshold=0.8, knn_k=3,
+            k_max=1, image_size=L, snr_values=[snr],
+        )
+        config = cli.ExperimentConfig.from_json(cfg).hash()
+        # the one-stack reference: every image projected and made noisy at
+        # once, written image by image, and the graph built from the stack
+        frames = so3.sample_uniform(seed, n)
+        imgs = imaging.project(imaging.default_phantom(), frames.frames, L=L)
+        for i in range(n):
+            imgs[i] = imaging.add_noise(imgs[i], snr, seed + 10 + i)
+        geometric = graphs.clean_graph(frames, 0.8)
+        g, _ = imaging.image_graph(imgs, edge_fraction=geometric.n_edges / (n * (n - 1) / 2))
+        ref = tmp_path / "ref.csv"
+        g.to_csv(ref, config)
+        chunks = []
+        project = imaging.project
+
+        def counted(phantom, r, L):
+            chunks.append(len(r))
+            return project(phantom, r, L=L)
+
+        monkeypatch.setattr(imaging, "project", counted)
+        out = tmp_path / "img"
+        assert cli.main(["images", "--config", cfg, "--out", str(out)]) == 0
+        assert chunks == [8, 8, n - 16]
+        assert (out / "images_snr2.5.bin").read_bytes() == b"".join(
+            struct.pack("<II", L, L) + img.astype("<f8").tobytes() for img in imgs
+        )
+        assert (out / "images_snr2.5.csv").read_text() == "".join(
+            ["index,seed,snr\n", f"# config={config}\n"]
+            + [f"{i},{seed + 10 + i},2.5\n" for i in range(n)]
+        )
+        assert (out / "image_graph_snr2.5.csv").read_bytes() == ref.read_bytes()
+
+    def test_peak_memory_does_not_grow_with_the_stack(self, tmp_path):
+        # from 200 to 400 images of 65 x 65 the stack grows by 6.8 MB; the
+        # traced peak of the calling process, which holds no stack, must
+        # grow by well under that
+        L = 65
+        peaks = []
+        for n in (200, 400):
+            cfg = write_config(
+                tmp_path, seed=0, n_frames=n, cos_threshold=0.95, knn_k=5,
+                k_max=1, image_size=L, snr_values=[16],
+            )
+            argv = ["images", "--config", cfg, "--out", str(tmp_path / f"n{n}")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        stack_growth = 200 * L * L * 8
+        assert peaks[1] - peaks[0] < stack_growth / 4, peaks
 
     def test_empty_geometric_graph_fails(self, tmp_path, capsys):
         # at cos_threshold 0.9999 the 20 frames have no geometric edge, so an

@@ -637,7 +637,7 @@ class TestSaveLoad:
     def test_round_trip_bitwise(self, phantom, tmp_path):
         imgs = imaging.project(phantom, haar(21, 4), L=17)
         path = tmp_path / "imgs.bin"
-        imaging.save_images(path, imgs)
+        imaging.save_images(path, [imgs])
         back = image_oracle.load_images(path)
         assert back.shape == (4, 17, 17)
         assert np.array_equal(back, imgs)
@@ -651,7 +651,7 @@ class TestSaveLoad:
     def test_truncated_payload(self, phantom, tmp_path):
         imgs = [imaging.project(phantom, np.eye(3), L=17)]
         path = tmp_path / "imgs.bin"
-        imaging.save_images(path, imgs)
+        imaging.save_images(path, [imgs])
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError):
@@ -672,6 +672,80 @@ class TestSaveLoad:
         path.write_bytes(struct.pack("<II", h, w) + np.zeros(h * w).astype("<f8").tobytes())
         with pytest.raises(ValueError, match=re.escape(f"{path}: image 0 is {h}x{w}")):
             image_oracle.load_images(path)
+
+
+class TestImageFile:
+    """imaging.ImageFile, the reader that image_graph's passes slice, against
+    image_oracle.load_images, which reads the whole file at once."""
+
+    def test_slices_match_the_oracle(self, phantom, tmp_path):
+        imgs = imaging.add_noise(imaging.project(phantom, haar(22, 7), L=9), 4.0, 1)
+        path = tmp_path / "imgs.bin"
+        imaging.save_images(path, [imgs])
+        reader = imaging.ImageFile(path)
+        assert len(reader) == 7 and reader.shape == (7, 9, 9)
+        whole = image_oracle.load_images(path)
+        for lo, hi in [(0, 7), (0, 1), (2, 5), (5, 7), (6, 7), (3, 3), (4, 100)]:
+            got = reader[lo:hi]
+            assert got.dtype == np.float64 and got.shape == whole[lo:hi].shape
+            assert np.array_equal(got, whole[lo:hi]), (lo, hi)
+        assert imaging._stack(reader) is reader
+        with pytest.raises(ValueError, match="step 2"):
+            reader[::2]
+
+    def test_chunks_write_the_bytes_of_one_stack(self, phantom, tmp_path):
+        imgs = imaging.project(phantom, haar(23, 9), L=9)
+        want = b"".join(struct.pack("<II", 9, 9) + img.astype("<f8").tobytes() for img in imgs)
+        path = tmp_path / "imgs.bin"
+        imaging.save_images(path, [imgs[:2], imgs[2:3], imgs[3:9]])
+        assert path.read_bytes() == want
+
+    def test_image_graph_reads_the_file_as_the_stack(self, noisy, tmp_path):
+        imgs = noisy[0]
+        path = tmp_path / "imgs.bin"
+        imaging.save_images(path, [imgs])
+        want, want_basis = imaging.image_graph(imgs, edge_fraction=0.1)
+        # the passes read 80 images of 33 x 33 in chunks of 18
+        got, basis = imaging.image_graph(imaging.ImageFile(path), edge_fraction=0.1)
+        for name in ("edge_i", "edge_j", "theta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert basis.sigma == want_basis.sigma
+        assert all(map(np.array_equal, basis.vectors, want_basis.vectors))
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\x01\x02\x03")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated image header")):
+            imaging.ImageFile(path)
+
+    def test_truncated_payload(self, phantom, tmp_path):
+        path = tmp_path / "imgs.bin"
+        imaging.save_images(path, [imaging.project(phantom, haar(21, 2), L=17)])
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated image payload")):
+            imaging.ImageFile(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no images")):
+            imaging.ImageFile(path)
+
+    def test_rejects_mixed_sizes(self, phantom, tmp_path):
+        path = tmp_path / "mixed.bin"
+        with open(path, "wb") as fh:
+            for L in (17, 17, 9):
+                img = imaging.project(phantom, np.eye(3), L=L)
+                fh.write(struct.pack("<II", L, L) + img.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: image 2 is 9x9")):
+            imaging.ImageFile(path)
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (17, 15)])
+    def test_rejects_even_or_non_square(self, tmp_path, h, w):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<II", h, w) + np.zeros(h * w).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: image 0 is {h}x{w}")):
+            imaging.ImageFile(path)
 
 
 class TestStackCheck:
